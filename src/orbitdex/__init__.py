@@ -11,9 +11,8 @@ from .cyclotomic import CyclotomicNumber, cyclotomic_polynomial, euler_phi, root
 from .germfile import GermDocument, GermParseError, parse_germ, print_germ
 from .jordan import (CoordMask, JordanBlock, JordanSpec, SequenceTarget,
                      format_inline_matrix, global_order, is_admissible,
-                     order_leq, parse_inline_matrix, period_mask, period_set)
-from .multiplicity import (MultiplicityResult, NotIsolatedWithinBound, cronin,
-                           multiplicity, truncated_quotient_dim)
+                     parse_inline_matrix, period_mask, period_set)
+from .multiplicity import MultiplicityResult, NotIsolatedWithinBound, multiplicity
 from .orbits import (ConsistencyError, OrbitSpectrum, direct_iterate_index,
                      dold_index, fixed_point_index, hidden_orbit_count,
                      orbit_spectrum, solve_counts_triangular)
@@ -23,12 +22,26 @@ from .resonance import (NormalFormVerdict, ResonanceContext, divide_by_leads,
                         lead_variable_shape_ok, project, strip_eigenvalues,
                         validate_rnf)
 from .universality import (ResidueWitness, UniversalityVerdict, chain_check,
-                           chain_coprime_germ, chain_germ,
-                           equal_order_universal, is_universal,
-                           pairwise_coprime_universal, realize,
-                           residue_search, two_chain_shape,
-                           unit_spectrum_germ, unit_two_chain_shape)
+                           chain_coprime_germ, chain_germ, is_universal,
+                           realize, residue_search, unit_spectrum_germ)
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "CyclotomicNumber", "cyclotomic_polynomial", "euler_phi", "root_of_unity",
+    "GermDocument", "GermParseError", "parse_germ", "print_germ",
+    "CoordMask", "JordanBlock", "JordanSpec", "SequenceTarget",
+    "format_inline_matrix", "global_order", "is_admissible",
+    "parse_inline_matrix", "period_mask", "period_set",
+    "MultiplicityResult", "NotIsolatedWithinBound", "multiplicity",
+    "ConsistencyError", "OrbitSpectrum", "direct_iterate_index", "dold_index",
+    "fixed_point_index", "hidden_orbit_count", "orbit_spectrum",
+    "solve_counts_triangular",
+    "GermMap", "Poly", "TermBudgetExceeded", "variables",
+    "NormalFormVerdict", "ResonanceContext", "divide_by_leads",
+    "find_essential_blocks", "is_resonant_monomial", "lead_variable_shape_ok",
+    "project", "strip_eigenvalues", "validate_rnf",
+    "ResidueWitness", "UniversalityVerdict", "chain_check",
+    "chain_coprime_germ", "chain_germ", "is_universal", "realize",
+    "residue_search", "unit_spectrum_germ",
+]

@@ -16,15 +16,14 @@ import time
 from pathlib import Path
 
 from .germfile import GermDocument, GermParseError, parse_germ, print_germ
-from .jordan import (SequenceTarget, global_order, parse_inline_matrix,
-                     period_set)
+from .jordan import (SequenceTarget, global_order, is_admissible,
+                     parse_inline_matrix, period_mask, period_set)
 from .multiplicity import NotIsolatedWithinBound, multiplicity
 from .orbits import (ConsistencyError, direct_iterate_index,
                      fixed_point_index, orbit_spectrum)
 from .resonance import project, strip_eigenvalues, validate_rnf
-from .jordan import period_mask
-from .universality import is_universal, realize, residue_search
-from .jordan import is_admissible
+from .universality import (is_universal, normalized_target, realize,
+                           residue_search)
 
 _SAFE_INT = 2**53 - 1
 
@@ -224,9 +223,9 @@ def _cmd_realize(args) -> int:
         rep.say(f"wrote {args.output}")
     else:
         rep.say(text.rstrip("\n"))
+    # realize() verified that the germ's counts equal the normalized target
     rep.emit({"ok": True, "germ": text,
-              "counts": {q: v for q, v in sorted(
-                  orbit_spectrum(spec, doc.gmap, cross_check=False).counts.items())}})
+              "counts": normalized_target(spec, target)})
     return 0
 
 

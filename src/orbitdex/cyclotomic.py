@@ -21,7 +21,6 @@ True
 from __future__ import annotations
 
 import functools
-import math
 from fractions import Fraction
 
 _ZERO = Fraction(0)
@@ -212,18 +211,13 @@ class CyclotomicNumber:
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
 
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
-
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return any(self.coeffs)
 
     # -- coercion ------------------------------------------------------
 
@@ -392,13 +386,6 @@ class CyclotomicNumber:
     def __repr__(self):
         return f"{self} @ Q(zeta_{self.modulus})"
 
-    def approx(self) -> complex:
-        """Floating-point approximation (display only, inexact)."""
-        import cmath
-
-        z = cmath.exp(2j * cmath.pi / self.modulus)
-        return sum(complex(c) * z**k for k, c in enumerate(self.coeffs))
-
 
 def root_of_unity(order: int, power: int, modulus: int | None = None) -> CyclotomicNumber:
     """e^(2 pi i power/order) as an element of Q(zeta_modulus).
@@ -416,10 +403,3 @@ def root_of_unity(order: int, power: int, modulus: int | None = None) -> Cycloto
         raise ValueError(f"order {order} does not divide modulus {modulus}")
     k = (power * (modulus // order)) % modulus
     return CyclotomicNumber(modulus, _zeta_power(modulus, k))
-
-
-def lcm(values) -> int:
-    out = 1
-    for v in values:
-        out = out * v // math.gcd(out, v)
-    return out

@@ -25,7 +25,8 @@ reproduces the document.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import string
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclotomic import root_of_unity
@@ -44,8 +45,6 @@ class GermParseError(ValueError):
 class GermDocument:
     matrix: JordanSpec
     gmap: GermMap
-    coordinate_spans: tuple[tuple[int, int], ...] = field(
-        default=(), compare=False, repr=False)
 
     @property
     def modulus(self) -> int:
@@ -55,6 +54,9 @@ class GermDocument:
 # -- tokenizer ----------------------------------------------------------------
 
 _SYMBOLS = "{}=,;+-*/^()"
+_DIGITS = string.digits
+_NAME_START = string.ascii_letters + "_"
+_NAME_CHARS = _NAME_START + _DIGITS
 
 
 @dataclass(frozen=True)
@@ -84,16 +86,16 @@ def _tokenize(text: str) -> list[_Token]:
             while i < n and text[i] != "\n":
                 i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and text[i] in _DIGITS:
                 i += 1
             tokens.append(_Token("INT", text[start:i], line, col))
             col += i - start
             continue
-        if ch.isalpha() or ch == "_":
+        if ch in _NAME_START:
             start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
+            while i < n and text[i] in _NAME_CHARS:
                 i += 1
             tokens.append(_Token("NAME", text[start:i], line, col))
             col += i - start
@@ -137,9 +139,15 @@ class _Parser:
             self.fail(f"expected '{name}', found {tok.text or 'end of input'}", tok)
         return tok
 
+    def integer(self, digits: str, tok: _Token) -> int:
+        try:
+            return int(digits)
+        except ValueError:  # more digits than int() converts
+            self.fail(f"{digits[:12]}... has too many digits", tok)
+
     def expect_int(self, what: str, maximum: int = MAX_EXPONENT) -> int:
         tok = self.expect("INT", what)
-        value = int(tok.text)
+        value = self.integer(tok.text, tok)
         if value > maximum:
             self.fail(f"{what} {value} exceeds the supported bound {maximum}", tok)
         return value
@@ -149,10 +157,9 @@ class _Parser:
     def document(self) -> GermDocument:
         spec = self.matrix_block()
         modulus = global_order(spec)
-        coords, spans = self.map_block(spec, modulus)
+        coords = self.map_block(spec, modulus)
         self.expect("EOF", "end of input")
-        gmap = GermMap(coords, nvars=spec.n, modulus=modulus)
-        return GermDocument(spec, gmap, tuple(spans))
+        return GermDocument(spec, GermMap(coords, nvars=spec.n, modulus=modulus))
 
     def matrix_block(self) -> JordanSpec:
         self.expect_name("matrix")
@@ -186,13 +193,12 @@ class _Parser:
         self.expect("{")
         n = spec.n
         coords: dict[int, Poly] = {}
-        spans: dict[int, tuple[int, int]] = {}
         while not (self.peek().kind == "}"):
             tok = self.expect("NAME", "a coordinate name f1..f%d" % n)
             name = tok.text
             if not (name.startswith("f") and name[1:].isdigit()):
                 self.fail(f"expected a coordinate name f1..f{n}", tok)
-            index = int(name[1:])
+            index = self.integer(name[1:], tok)
             if not 1 <= index <= n:
                 self.fail(f"coordinate {name} out of range 1..{n}", tok)
             if index - 1 in coords:
@@ -203,13 +209,11 @@ class _Parser:
             if not poly.constant_term().is_zero():
                 self.fail(f"coordinate {name} has a nonzero constant term", tok)
             coords[index - 1] = poly
-            spans[index - 1] = (tok.line, tok.col)
         self.expect("}")
         missing = [f"f{j + 1}" for j in range(n) if j not in coords]
         if missing:
             self.fail(f"missing coordinate(s) {', '.join(missing)}")
-        return ([coords[j] for j in range(n)],
-                [spans[j] for j in range(n)])
+        return [coords[j] for j in range(n)]
 
     def expr(self, spec: JordanSpec, modulus: int) -> Poly:
         n = spec.n
@@ -247,7 +251,7 @@ class _Parser:
         n = spec.n
         tok = self.next()
         if tok.kind == "INT":
-            value = Fraction(int(tok.text))
+            value = Fraction(self.integer(tok.text, tok))
             if self.peek().kind == "/":
                 self.next()
                 den = self.expect_int("denominator", maximum=10**18)
@@ -269,13 +273,13 @@ class _Parser:
                         f"order {modulus}", tok)
                 return Poly.constant(root_of_unity(order, power, modulus), n, modulus)
             if name.startswith("L") and name[1:].isdigit():
-                j = int(name[1:])
+                j = self.integer(name[1:], tok)
                 if not 1 <= j <= spec.m:
                     self.fail(f"block index L{j} out of range 1..{spec.m}", tok)
                 lam = spec.blocks[j - 1].eigenvalue(modulus)
                 return Poly.constant(lam, n, modulus)
             if name.startswith("x") and name[1:].isdigit():
-                j = int(name[1:])
+                j = self.integer(name[1:], tok)
                 if not 1 <= j <= n:
                     self.fail(f"variable x{j} out of range 1..{n}", tok)
                 return Poly.variable(j - 1, n, modulus)

@@ -120,14 +120,8 @@ class CoordMask:
     def support(self) -> list[int]:
         return [j for j, b in enumerate(self.bits) if b]
 
-    def weight(self) -> int:
-        return sum(self.bits)
-
     def is_zero(self) -> bool:
         return not any(self.bits)
-
-    def is_full(self) -> bool:
-        return all(self.bits)
 
 
 def period_set(spec: JordanSpec) -> set[int]:
@@ -231,29 +225,6 @@ def is_admissible(spec: JordanSpec, target: SequenceTarget) -> AdmissibilityVerd
                 False, f"a[{q}] = {a}, but {q} is not a period of the linear "
                        f"part, which forces a[{q}] = 0")
     return AdmissibilityVerdict(True)
-
-
-def order_leq(smaller: JordanSpec, larger: JordanSpec) -> bool:
-    """Blockwise comparison up to reordering: every block of the smaller
-    matrix must match a distinct block of the larger one with the same
-    (order, power) and a size that is <= the larger size."""
-    groups: dict[tuple[int, int], list[int]] = {}
-    for b in larger.blocks:
-        groups.setdefault((b.order, b.power), []).append(b.size)
-    for sizes in groups.values():
-        sizes.sort(reverse=True)
-    wanted: dict[tuple[int, int], list[int]] = {}
-    for b in smaller.blocks:
-        wanted.setdefault((b.order, b.power), []).append(b.size)
-    for key, sizes in wanted.items():
-        have = groups.get(key)
-        if have is None or len(sizes) > len(have):
-            return False
-        # match largest demanded size against largest available size
-        for want, got in zip(sorted(sizes, reverse=True), have):
-            if want > got:
-                return False
-    return True
 
 
 _INLINE_RE = re.compile(r"\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)")

@@ -107,10 +107,23 @@ class _Echelon:
 
     Rows are dicts; a lazy min-heap of column keys tracks the current
     leading term so dense fill-in does not force a full scan per
-    elimination step.
+    elimination step.  Elimination is by cross-multiplication,
+    row <- lead(pivot) * row - row[col] * pivot, which serves both rings:
+
+    * over Q, rows hold integers (denominators cleared) and are divided
+      by their content on adoption and every few steps, to keep the
+      integers small (fraction-free, in the manner of Bareiss);
+    * over Q(zeta_M), rows hold CyclotomicNumbers and pivot rows are
+      scaled to lead 1 on adoption, so the update is the field update.
+
+    Rank and pivot columns are scale-invariant, so the counts agree with
+    the rational elimination exactly.
     """
 
-    def __init__(self):
+    _STRIP_EVERY = 8
+
+    def __init__(self, integral: bool):
+        self.integral = integral
         self.pivots: dict[tuple, dict] = {}
         self.pivot_degrees = Counter()
 
@@ -118,20 +131,31 @@ class _Echelon:
         """Reduce against current pivots; adopt as a new pivot row when a
         nonzero remainder is left.  Returns the new pivot column or None."""
         pivots = self.pivots
+        integral = self.integral
         heap = [grevlex_key(m) + (m,) for m in row]
         heapq.heapify(heap)
+        steps = 0
         while heap:
             col = heapq.heappop(heap)[-1]
             if col not in row:
                 continue  # cancelled earlier (lazy deletion)
             prow = pivots.get(col)
             if prow is None:
-                inv = row[col].invert()
-                normalized = {m: c * inv for m, c in row.items()}
-                pivots[col] = normalized
+                if integral:
+                    _strip_content(row)
+                else:
+                    inv = row[col].invert()
+                    row = {m: c * inv for m, c in row.items()}
+                pivots[col] = row
                 self.pivot_degrees[sum(col)] += 1
                 return col
             factor = row.pop(col)
+            if integral:
+                steps += 1
+                lead = prow[col]
+                if lead != 1:
+                    for m in row:
+                        row[m] *= lead
             for m, c in prow.items():
                 if m == col:
                     continue
@@ -142,83 +166,37 @@ class _Echelon:
                     heapq.heappush(heap, grevlex_key(m) + (m,))
                 else:
                     total = cur - delta
-                    if total.is_zero():
-                        del row[m]
-                    else:
+                    if total:
                         row[m] = total
+                    else:
+                        del row[m]
+            if integral and steps % self._STRIP_EVERY == 0:
+                _strip_content(row)
         return None
 
     def pivots_below(self, degree: int) -> int:
         return sum(c for d, c in self.pivot_degrees.items() if d < degree)
 
 
-class _IntEchelon(_Echelon):
-    """Echelon over Q in cleared-denominator form: rows map monomials to
-    integers, elimination is by cross-multiplication, and rows are
-    divided by their content periodically to keep the integers small.
-    Rank and pivot columns are scale-invariant, so the counts agree with
-    the rational elimination exactly."""
-
-    _STRIP_EVERY = 8
-
-    @staticmethod
-    def _strip(row: dict) -> None:
-        g = 0
-        for v in row.values():
-            g = math.gcd(g, v)
-            if g == 1:
-                return
-        if g > 1:
-            for m in row:
-                row[m] //= g
-
-    def insert(self, row: dict) -> tuple | None:
-        pivots = self.pivots
-        heap = [grevlex_key(m) + (m,) for m in row]
-        heapq.heapify(heap)
-        steps = 0
-        while heap:
-            col = heapq.heappop(heap)[-1]
-            if col not in row:
-                continue
-            prow = pivots.get(col)
-            if prow is None:
-                self._strip(row)
-                pivots[col] = row
-                self.pivot_degrees[sum(col)] += 1
-                return col
-            a = prow[col]
-            b = row.pop(col)
-            if a != 1:
-                for m in row:
-                    row[m] *= a
-            for m, c in prow.items():
-                if m == col:
-                    continue
-                cur = row.get(m)
-                if cur is None:
-                    row[m] = -b * c
-                    heapq.heappush(heap, grevlex_key(m) + (m,))
-                else:
-                    total = cur - b * c
-                    if total:
-                        row[m] = total
-                    else:
-                        del row[m]
-            steps += 1
-            if steps % self._STRIP_EVERY == 0:
-                self._strip(row)
-        return None
+def _strip_content(row: dict) -> None:
+    """Divide an integer row by the gcd of its entries, in place."""
+    g = math.gcd(*row.values())
+    if g > 1:
+        for m in row:
+            row[m] //= g
 
 
-def _integer_terms(p: Poly) -> dict:
-    """The terms of a rational-coefficient polynomial with denominators
-    cleared (scaling does not change the span)."""
-    denom = 1
-    for c in p.terms.values():
-        denom = denom * c.coeffs[0].denominator // math.gcd(
-            denom, c.coeffs[0].denominator)
-    return {m: int(c.coeffs[0] * denom) for m, c in p.terms.items()}
+def _echelon_and_rows(coords) -> tuple[_Echelon, list[dict]]:
+    """An empty echelon for the coefficient ring of coords, and the rows
+    of coords in its form: integers with denominators cleared over Q
+    (scaling does not change the span), CyclotomicNumbers otherwise."""
+    if coords[0].modulus != 1:
+        return _Echelon(integral=False), [dict(p.terms) for p in coords]
+    rows = []
+    for p in coords:
+        denom = math.lcm(*(c.coeffs[0].denominator for c in p.terms.values()))
+        rows.append({m: int(c.coeffs[0] * denom) for m, c in p.terms.items()})
+    return _Echelon(integral=True), rows
 
 
 def _shift_terms(terms: dict, alpha) -> dict:
@@ -233,12 +211,7 @@ def _shift_terms(terms: dict, alpha) -> dict:
 def _stabilize(coords, nvars: int, cap: int,
                witness: str | None = None):
     """Run the quotient-dimension engine; return (value, d_star, dims)."""
-    if coords and coords[0].modulus == 1:
-        ech: _Echelon = _IntEchelon()
-        rows = [_integer_terms(p) for p in coords]
-    else:
-        ech = _Echelon()
-        rows = [dict(p.terms) for p in coords]
+    ech, rows = _echelon_and_rows(coords)
     dims: list[int] = []
     for d in range(1, cap + 2):
         for alpha in _monomials_of_degree(nvars, d - 1):
@@ -366,10 +339,7 @@ def _mult(coords: list[Poly], ctx: _Context, top: bool) -> int:
     degrees, forms = _lowest_system(coords)
     isolated = _homogeneous_isolated(forms, degrees, nvars, ctx.cap)
     if isolated:
-        product = 1
-        for m in degrees:
-            product *= m
-        return product
+        return math.prod(degrees)
     cronin_witness = None
     if isolated is False:
         cronin_witness = (
@@ -446,12 +416,7 @@ def cronin(f: GermMap, degree_cap: int = DEFAULT_DEGREE_CAP) -> int | None:
     if f.nvars == 0:
         return 1
     isolated = _homogeneous_isolated(forms, degrees, f.nvars, degree_cap)
-    if not isolated:
-        return None
-    product = 1
-    for m in degrees:
-        product *= m
-    return product
+    return math.prod(degrees) if isolated else None
 
 
 def truncated_quotient_dim(f: GermMap, d: int) -> int:
@@ -462,19 +427,10 @@ def truncated_quotient_dim(f: GermMap, d: int) -> int:
     nvars = f.nvars
     if nvars == 0:
         return 1
-    if f.modulus == 1:
-        ech: _Echelon = _IntEchelon()
-        rows = [_integer_terms(p) for p in f.coords]
-    else:
-        ech = _Echelon()
-        rows = [dict(p.terms) for p in f.coords]
+    ech, rows = _echelon_and_rows(f.coords)
     for deg in range(d):
         for alpha in _monomials_of_degree(nvars, deg):
             for terms in rows:
-                row = {
-                    m: c
-                    for m, c in _shift_terms(terms, alpha).items()
-                    if sum(m) < d
-                }
-                ech.insert(row)
+                ech.insert({m: c for m, c in _shift_terms(terms, alpha).items()
+                            if sum(m) < d})
     return math.comb(d - 1 + nvars, nvars) - ech.pivots_below(d)

@@ -226,7 +226,6 @@ def orbit_spectrum(spec: JordanSpec, f: GermMap, cross_check: bool = True,
                 f"triangular solve disagrees with inclusion-exclusion: "
                 f"{triangular} vs {counts}")
         checks["f37"] = True
-        agree = True
         for q in qs:
             if q > direct_cap:
                 continue
@@ -236,5 +235,5 @@ def orbit_spectrum(spec: JordanSpec, f: GermMap, cross_check: bool = True,
                     f"direct route gives {direct} for q={q}, projection "
                     f"gives {mu[q]}")
             route[q] = "both-agree"
-        checks["direct"] = agree
+        checks["direct"] = True
     return OrbitSpectrum(spec, tuple(pe), mu, dold, counts, route, checks)

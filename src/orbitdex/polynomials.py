@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclotomic import CyclotomicNumber, lcm
+from .cyclotomic import CyclotomicNumber
 
 Monomial = tuple[int, ...]
 
@@ -264,12 +264,6 @@ class Poly:
             out[tuple(e - f for e, f in zip(m, mono))] = c
         return self._wrap(out)
 
-    def set_vars_zero(self, kill: set[int]) -> Poly:
-        """Substitute x_j = 0 for j in kill (variable count unchanged)."""
-        return self._wrap(
-            {m: c for m, c in self.terms.items() if all(m[j] == 0 for j in kill)}
-        )
-
     def restrict_vars(self, keep) -> Poly:
         """Set variables outside keep to zero, then renumber the kept
         variables in increasing order of their old index."""
@@ -417,13 +411,6 @@ class GermMap:
         self.modulus = modulus
         self.coords = coords
 
-    @staticmethod
-    def identity(nvars: int, modulus: int = 1) -> GermMap:
-        return GermMap(
-            [Poly.variable(j, nvars, modulus) for j in range(nvars)],
-            nvars=nvars, modulus=modulus,
-        )
-
     def compose(self, inner: GermMap, trunc: int | None = None,
                 term_limit: int = DEFAULT_TERM_LIMIT) -> GermMap:
         """self after inner (apply inner first)."""
@@ -482,9 +469,6 @@ class GermMap:
             return self
         return GermMap([p.embed(modulus) for p in self.coords],
                        nvars=self.nvars, modulus=modulus)
-
-    def common_modulus(self, other_modulus: int) -> GermMap:
-        return self.embed(lcm([self.modulus, other_modulus]))
 
     def max_degree(self) -> int:
         return max((p.total_degree() for p in self.coords), default=0)

@@ -124,18 +124,6 @@ def strip_eigenvalues(spec: JordanSpec, f: GermMap) -> GermMap:
     return GermMap(coords, nvars=f.nvars, modulus=f.modulus)
 
 
-def diagonal_germ(spec: JordanSpec, modulus: int, power: int = 1) -> GermMap:
-    """The linear germ given by the diagonal eigenvalue part (raised to
-    an integer power)."""
-    coords = []
-    n = spec.n
-    for j, b in enumerate(spec.blocks):
-        lam = b.eigenvalue(modulus) ** power
-        for c in range(spec.offsets[j], spec.offsets[j + 1]):
-            coords.append(Poly.variable(c, n, modulus) * lam)
-    return GermMap(coords, nvars=n, modulus=modulus)
-
-
 def project(g: GermMap, mask: CoordMask) -> GermMap:
     """Set the masked-out variables to zero and keep the selected
     coordinates, renumbering variables in increasing order.  An all-zero

@@ -18,7 +18,6 @@ prod(a_j)/lcm(a_j), strictly so iff the a_j are not pairwise coprime.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import reduce
@@ -94,66 +93,6 @@ def is_universal(spec: JordanSpec) -> UniversalityVerdict:
         "no reordering of the blocks forms a strict divisibility chain of "
         "orders with compatible eigenvalue powers, and no single block of "
         "order >= 2 coprime to all the others leaves such a chain behind")
-
-
-# -- special-shape predicates (independent cross-checks) ---------------------
-
-
-def equal_order_universal(spec: JordanSpec) -> bool | None:
-    """When all block orders are equal: universal iff there is one block.
-    None when the shape does not apply."""
-    orders = set(spec.orders())
-    if len(orders) != 1:
-        return None
-    return spec.m == 1
-
-
-def pairwise_coprime_universal(spec: JordanSpec) -> bool | None:
-    """When the orders are pairwise coprime with at most one equal to 1:
-    universal iff m <= 2, or m == 3 and one of the orders is 1."""
-    orders = spec.orders()
-    if sum(1 for d in orders if d == 1) > 1:
-        return None
-    for a, b in itertools.combinations(orders, 2):
-        if math.gcd(a, b) != 1:
-            return None
-    if spec.m <= 2:
-        return True
-    if spec.m == 3:
-        return any(d == 1 for d in orders)
-    return False
-
-
-def two_chain_shape(spec: JordanSpec) -> bool:
-    """Four blocks splitting into two strict 2-chains of orders > 1 whose
-    top orders are coprime (a non-universal shape), up to reordering."""
-    if spec.m != 4:
-        return False
-    for perm in itertools.permutations(range(4)):
-        d = [spec.blocks[i].order for i in perm]
-        if (1 < d[0] and d[1] % d[0] == 0 and d[0] != d[1]
-                and 1 < d[2] and d[3] % d[2] == 0 and d[2] != d[3]
-                and math.gcd(d[1], d[3]) == 1):
-            return True
-    return False
-
-
-def unit_two_chain_shape(spec: JordanSpec) -> bool:
-    """Five blocks: one of order 1 plus two strict 2-chains of orders > 1
-    with coprime tops (a non-universal shape), up to reordering."""
-    if spec.m != 5:
-        return False
-    for unit in range(5):
-        if spec.blocks[unit].order != 1:
-            continue
-        rest = [i for i in range(5) if i != unit]
-        for perm in itertools.permutations(rest):
-            d = [spec.blocks[i].order for i in perm]
-            if (1 < d[0] and d[1] % d[0] == 0 and d[0] != d[1]
-                    and 1 < d[2] and d[3] % d[2] == 0 and d[2] != d[3]
-                    and math.gcd(d[1], d[3]) == 1):
-                return True
-    return False
 
 
 # -- simultaneous residue minimization ---------------------------------------

@@ -16,12 +16,13 @@ import pytest
 
 from orbitdex import (GermMap, GermParseError, JordanBlock, JordanSpec,
                       NotIsolatedWithinBound, Poly, ResonanceContext,
-                      SequenceTarget, chain_coprime_germ, chain_germ, cronin,
+                      SequenceTarget, chain_coprime_germ, chain_germ,
                       direct_iterate_index, fixed_point_index, global_order,
                       is_admissible, is_resonant_monomial, is_universal,
                       multiplicity, orbit_spectrum, parse_germ, period_set,
                       print_germ, realize, residue_search, root_of_unity,
                       unit_spectrum_germ, variables)
+from orbitdex.multiplicity import cronin
 from orbitdex.universality import normalized_target
 from conftest import load_fixtures, random_isolated_system, random_poly
 

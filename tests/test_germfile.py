@@ -1,5 +1,7 @@
+import re
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbitdex import (GermDocument, GermMap, GermParseError, JordanBlock,
@@ -146,3 +148,55 @@ def test_round_trip_random_documents(doc):
     printed = print_germ(doc)
     assert parse_germ(printed) == doc
     assert print_germ(parse_germ(printed)) == printed
+
+
+# -- parser fuzzing: whatever the text, the only failure is GermParseError ----
+
+_CANONICAL_TOKENS = re.findall(r"\w+|\S", CANONICAL)
+# grammar tokens, near misses, and integers at and past the parser's bounds
+_SOUP = ["matrix", "block", "map", "size", "order", "power", "{", "}", "=",
+         ",", ";", "+", "-", "*", "/", "^", "(", ")", "#", "\n", "w", "L0",
+         "L1", "L3", "x0", "x1", "x3", "f0", "f1", "f3", "y", "$", "\u00b2",
+         "0", "1", "2", "3", "6", str(10**6 + 1), "99999999", str(10**18 + 1),
+         "9" * 5000, "x" + "1" * 5000]
+
+
+@st.composite
+def token_soup(draw):
+    """The canonical document with tokens inserted, replaced or dropped,
+    or tokens strung together with no document around them."""
+    tokens = list(draw(st.sampled_from([_CANONICAL_TOKENS, []])))
+    edits = draw(st.lists(st.tuples(st.integers(0, len(tokens)),
+                                    st.sampled_from("ird"),
+                                    st.sampled_from(_SOUP)), max_size=12))
+    for pos, op, tok in edits:
+        pos = min(pos, len(tokens))
+        if op == "i":
+            tokens.insert(pos, tok)
+        elif pos < len(tokens):
+            if op == "r":
+                tokens[pos] = tok
+            else:
+                del tokens[pos]
+    return " ".join(tokens)
+
+
+def _canonical_with(old, new):
+    return CANONICAL.replace(old, new, 1)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.text(), token_soup()))
+@example(_canonical_with("L1*x1", "w(0,1)*x1"))
+@example(_canonical_with("2*x1", "1/0*x1"))
+@example(_canonical_with("L1", "L0"))
+@example(_canonical_with("x2^4", "x2^1000001"))
+@example(_canonical_with("size = 1", "size = 99999999"))
+@example(_canonical_with("x2^4", "x2^\u00b2"))
+@example(_canonical_with("2*x1", "9" * 5000 + "*x1"))
+@example(_canonical_with("x2^4", "x" + "2" * 5000))
+def test_parser_raises_only_parse_errors(text):
+    try:
+        parse_germ(text)
+    except GermParseError:
+        pass

@@ -7,9 +7,32 @@ from hypothesis import strategies as st
 
 from orbitdex import (JordanBlock, JordanSpec, SequenceTarget,
                       format_inline_matrix, global_order, is_admissible,
-                      order_leq, parse_inline_matrix, period_mask, period_set)
+                      parse_inline_matrix, period_mask, period_set)
 
 B = JordanBlock
+
+
+def order_leq(smaller: JordanSpec, larger: JordanSpec) -> bool:
+    """Blockwise comparison up to reordering: every block of the smaller
+    matrix must match a distinct block of the larger one with the same
+    (order, power) and a size that is <= the larger size."""
+    groups: dict[tuple[int, int], list[int]] = {}
+    for b in larger.blocks:
+        groups.setdefault((b.order, b.power), []).append(b.size)
+    for sizes in groups.values():
+        sizes.sort(reverse=True)
+    wanted: dict[tuple[int, int], list[int]] = {}
+    for b in smaller.blocks:
+        wanted.setdefault((b.order, b.power), []).append(b.size)
+    for key, sizes in wanted.items():
+        have = groups.get(key)
+        if have is None or len(sizes) > len(have):
+            return False
+        # match largest demanded size against largest available size
+        for want, got in zip(sorted(sizes, reverse=True), have):
+            if want > got:
+                return False
+    return True
 
 
 def spec_of(*dims):

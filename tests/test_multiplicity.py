@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from orbitdex import (GermMap, NotIsolatedWithinBound, Poly, cronin,
-                      multiplicity, truncated_quotient_dim, variables)
+from orbitdex import (GermMap, NotIsolatedWithinBound, Poly, multiplicity,
+                      root_of_unity, variables)
+from orbitdex.multiplicity import cronin, truncated_quotient_dim
 from conftest import random_isolated_system, random_poly
 
 
@@ -145,19 +146,41 @@ def test_jet_determinacy(rng):
 
 
 def test_constant_linear_equivalence(rng):
-    """Multiplying the system by a constant invertible matrix preserves
-    the multiplicity."""
+    """Multiplying the system by a matrix U(x) with U(0) invertible (a
+    unit of the local ring: constant, or with higher-order entries)
+    preserves the multiplicity, over Q and over Q(zeta_6)."""
+    for modulus in (1, 6):
+        z = root_of_unity(modulus, 1, modulus)
+        for trial in range(10):
+            f, value = random_isolated_system(rng, 2, max_degree=3)
+            while True:
+                a, b, c, d = (z ** rng.randint(0, 5) * rng.randint(-3, 3)
+                              for _ in range(4))
+                if a * d - b * c != 0:
+                    break
+            u = [[Poly.constant(e, 2, modulus) for e in row]
+                 for row in ((a, b), (c, d))]
+            if trial % 2:
+                u = [[e + random_poly(rng, 2, 2, max_terms=2, modulus=modulus)
+                      for e in row] for row in u]
+            f0, f1 = (p.embed(modulus) for p in f.coords)
+            mixed = GermMap([u[0][0] * f0 + u[0][1] * f1,
+                             u[1][0] * f0 + u[1][1] * f1], nvars=2)
+            assert multiplicity(mixed).value == value
+
+
+def test_linear_coordinate_change_invariance(rng):
+    """multiplicity(f o A) == multiplicity(f) for A in GL_2(Q)."""
+    x, y = variables(2)
     for _ in range(10):
         f, value = random_isolated_system(rng, 2, max_degree=3)
         while True:
-            a, b, c, d = (Fraction(rng.randint(-3, 3)) for _ in range(4))
+            a, b, c, d = (Fraction(rng.randint(-3, 3), rng.choice([1, 2]))
+                          for _ in range(4))
             if a * d - b * c != 0:
                 break
-        mixed = GermMap([
-            f.coords[0] * a + f.coords[1] * b,
-            f.coords[0] * c + f.coords[1] * d,
-        ], nvars=2)
-        assert multiplicity(mixed).value == value
+        change = GermMap([x * a + y * b, x * c + y * d])
+        assert multiplicity(f.compose(change)).value == value
 
 
 def test_substitution_scaling(rng):
@@ -240,3 +263,40 @@ def test_fast_path_flag():
     assert multiplicity(system(x**3, y**2)).fast_path
     assert not multiplicity(system(x**2 - x * y + y**4,
                                    y**2 - x * y + x**4)).fast_path
+
+
+def _engine_systems():
+    """Systems no closed-form reduction resolves, so the engine runs on
+    the input itself (the lowest forms share a zero, and every variable
+    that occurs linearly occurs elsewhere in its coordinate too)."""
+    x, y = variables(2)
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    return [
+        system(x**2 - x * y + y**4, y**2 - x * y + x**4),
+        system(x + y * half + 3 * x**2 * y, x + y * half + x * y),
+        system(2 * (x - y) + y**3 + 3 * x**2 * y**4,
+               (x - y)**3 + 3 * x**3 * y**4),
+        system(2 * (x - y) - x**2 * y**3,
+               (x - y)**3 * -third - x**4 * y**3 + x**2 * y**5),
+        system((x - y)**3 + x**5 * y**5, 2 * (x - y)**2),
+        system((x + y)**3 + x**4 * y**5 * half, (x + y)**3),
+        system(x**2 + x**3 + y**3, x**2 + y**5),
+    ]
+
+
+@pytest.mark.parametrize("modulus", [3, 4, 6, 12])
+def test_engine_certificate_over_cyclotomic_fields(modulus):
+    """Over Q the engine eliminates integer rows; over Q(zeta_M) it
+    eliminates CyclotomicNumber rows.  The same system embedded in
+    Q(zeta_M), or with its coordinates scaled by powers of zeta_M (a
+    unit, so the same row spans), gets the same certificate."""
+    z = root_of_unity(modulus, 1, modulus)
+    for f in _engine_systems():
+        over_q = multiplicity(f)
+        assert not over_q.fast_path and over_q.stabilized_at is not None
+        embedded = f.embed(modulus)
+        scaled = GermMap([p * z ** (j + 1) for j, p in enumerate(embedded.coords)])
+        for g in (embedded, scaled):
+            got = multiplicity(g)
+            assert (got.value, got.stabilized_at, got.quotient_dims) == \
+                (over_q.value, over_q.stabilized_at, over_q.quotient_dims)

@@ -2,13 +2,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitdex import (CoordMask, GermMap, JordanBlock, JordanSpec,
+from orbitdex import (CoordMask, GermMap, JordanBlock, JordanSpec, Poly,
                       ResonanceContext, divide_by_leads, find_essential_blocks,
                       global_order, is_resonant_monomial, parse_germ, project,
                       root_of_unity, strip_eigenvalues, validate_rnf, variables)
-from orbitdex.resonance import diagonal_germ
 
 B = JordanBlock
+
+
+def diagonal_germ(spec: JordanSpec, modulus: int, power: int = 1) -> GermMap:
+    """The linear germ given by the diagonal eigenvalue part (raised to
+    an integer power)."""
+    coords = []
+    n = spec.n
+    for j, b in enumerate(spec.blocks):
+        lam = b.eigenvalue(modulus) ** power
+        for c in range(spec.offsets[j], spec.offsets[j + 1]):
+            coords.append(Poly.variable(c, n, modulus) * lam)
+    return GermMap(coords, nvars=n, modulus=modulus)
 
 
 def test_resonant_monomial_examples():
