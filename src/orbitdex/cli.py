@@ -18,7 +18,8 @@ from pathlib import Path
 from .germfile import GermDocument, GermParseError, parse_germ, print_germ
 from .jordan import (SequenceTarget, global_order, is_admissible,
                      parse_inline_matrix, period_mask, period_set)
-from .multiplicity import NotIsolatedWithinBound, multiplicity
+from .multiplicity import (DEFAULT_DEGREE_CAP, NotIsolatedWithinBound,
+                           multiplicity)
 from .orbits import (ConsistencyError, direct_iterate_index,
                      fixed_point_index, orbit_spectrum)
 from .resonance import project, strip_eigenvalues, validate_rnf
@@ -316,7 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="emit a JSON report on stdout")
     parser.add_argument("--degree-cap", type=int, default=None,
                         dest="degree_cap_arg",
-                        help="stabilization degree cap (default 64)")
+                        help=f"stabilization degree cap (default "
+                             f"{DEFAULT_DEGREE_CAP}; realize sizes it from "
+                             f"the target)")
     parser.add_argument("--no-timing", action="store_true",
                         help="suppress the timing field in JSON output")
     # the same flags are accepted after the subcommand
@@ -396,7 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.degree_cap = 64 if args.degree_cap_arg is None else args.degree_cap_arg
+    args.degree_cap = (DEFAULT_DEGREE_CAP if args.degree_cap_arg is None
+                       else args.degree_cap_arg)
     try:
         return args.func(args)
     except GermParseError as exc:

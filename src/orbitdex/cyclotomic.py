@@ -46,7 +46,8 @@ def euler_phi(m: int) -> int:
 
 # -- dense univariate polynomials over Q (internal helpers) -----------------
 #
-# Represented as tuples of Fractions, constant term first, no trailing zeros.
+# Represented as tuples of ints or Fractions, constant term first, no
+# trailing zeros.  Division by a monic integer polynomial stays in ints.
 
 
 def _poly_trim(coeffs) -> tuple[Fraction, ...]:
@@ -78,23 +79,24 @@ def _poly_divmod(num, den):
     if not den:
         raise ZeroDivisionError("polynomial division by zero")
     num = list(num)
-    quo = [_ZERO] * max(len(num) - len(den) + 1, 0)
-    inv_lead = 1 / den[-1]
-    while len(num) >= len(den) and _poly_trim(num):
-        num = list(_poly_trim(num))
-        if len(num) < len(den):
-            break
-        shift = len(num) - len(den)
-        factor = num[-1] * inv_lead
-        quo[shift] = factor
-        for i, c in enumerate(den):
-            num[shift + i] -= factor * c
-    return _poly_trim(quo), _poly_trim(num)
+    top = len(den) - 1
+    lead = den[top]
+    quo = [0] * max(len(num) - top, 0)
+    lower = [(i, c) for i, c in enumerate(den[:top]) if c]
+    for shift in range(len(quo) - 1, -1, -1):
+        factor = num[shift + top]
+        if factor:
+            if lead != 1:
+                factor /= lead
+            quo[shift] = factor
+            for i, c in lower:
+                num[shift + i] -= factor * c
+    return _poly_trim(quo), _poly_trim(num[:top])
 
 
 @functools.lru_cache(maxsize=None)
-def cyclotomic_polynomial(m: int) -> tuple[Fraction, ...]:
-    """Coefficients of Phi_m, constant term first.
+def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
+    """Integer coefficients of Phi_m, constant term first.
 
     Computed by dividing z^m - 1 by the product of Phi_d over proper
     divisors d of m.
@@ -104,7 +106,7 @@ def cyclotomic_polynomial(m: int) -> tuple[Fraction, ...]:
     """
     if m < 1:
         raise ValueError(f"cyclotomic polynomial undefined for {m}")
-    poly = _poly_trim([Fraction(-1)] + [_ZERO] * (m - 1) + [_ONE])
+    poly = _poly_trim([-1] + [0] * (m - 1) + [1])
     for d in range(1, m):
         if m % d == 0:
             poly, rem = _poly_divmod(poly, cyclotomic_polynomial(d))
@@ -113,42 +115,20 @@ def cyclotomic_polynomial(m: int) -> tuple[Fraction, ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _reduction_rows(m: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Rows r[i] = coefficients of z^(phi+i) reduced mod Phi_m, for
-    i = 0 .. phi-2 (what a product of two reduced elements can reach)."""
-    phi = euler_phi(m)
-    top = cyclotomic_polynomial(m)
-    assert top[-1] == 1
-    rows = []
-    # z^phi = -(Phi_m - z^phi)
-    current = [-c for c in top[:-1]]
-    rows.append(tuple(current))
-    for _ in range(phi - 2):
-        shifted = [_ZERO] + current[:-1]
-        lead = current[-1]
-        if lead:
-            shifted = [s + lead * r for s, r in zip(shifted, rows[0])]
-        current = shifted
-        rows.append(tuple(current))
-    return tuple(rows)
-
-
-@functools.lru_cache(maxsize=None)
 def _zeta_power(m: int, k: int) -> tuple[Fraction, ...]:
     """z^k mod Phi_m as a reduced coefficient vector."""
     phi = euler_phi(m)
-    k %= m
-    if k < phi:
-        coeffs = [_ZERO] * phi
-        coeffs[k] = _ONE
-        return tuple(coeffs)
-    top_row = _reduction_rows(m)[0]  # z^phi reduced
-    vec = list(_zeta_power(m, k - 1))
-    lead = vec[-1]
-    shifted = [_ZERO] + vec[:-1]
-    if lead:
-        shifted = [s + lead * r for s, r in zip(shifted, top_row)]
-    return tuple(shifted)
+    _, rem = _poly_divmod((0,) * (k % m) + (1,), cyclotomic_polynomial(m))
+    rem = tuple(Fraction(c) if c else _ZERO for c in rem)
+    return rem + (_ZERO,) * (phi - len(rem))
+
+
+@functools.lru_cache(maxsize=None)
+def _reduction_rows(m: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Rows r[i] = z^(phi+i) reduced mod Phi_m, for i = 0 .. phi-2 (what a
+    product of two reduced elements can reach)."""
+    phi = euler_phi(m)
+    return tuple(_zeta_power(m, k) for k in range(phi, 2 * phi - 1))
 
 
 def _raw_mul(m, a, b):
@@ -307,7 +287,8 @@ class CyclotomicNumber:
             return CyclotomicNumber.from_rational(1 / self.coeffs[0], self.modulus)
         # extended Euclid: s*a + t*Phi = gcd (a nonzero of degree < phi,
         # Phi irreducible, so gcd is a nonzero constant)
-        r0, r1 = cyclotomic_polynomial(self.modulus), _poly_trim(self.coeffs)
+        r0 = tuple(map(Fraction, cyclotomic_polynomial(self.modulus)))
+        r1 = _poly_trim(self.coeffs)
         s0, s1 = (), (_ONE,)
         while r1:
             q, r = _poly_divmod(r0, r1)

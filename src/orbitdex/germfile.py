@@ -25,12 +25,14 @@ reproduces the document.
 
 from __future__ import annotations
 
+import math
 import string
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclotomic import root_of_unity
-from .jordan import MAX_EXPONENT, JordanBlock, JordanSpec, global_order
+from .jordan import (MAX_EXPONENT, MAX_MODULUS, JordanBlock, JordanSpec,
+                     global_order)
 from .polynomials import GermMap, Poly
 
 
@@ -165,8 +167,14 @@ class _Parser:
         self.expect_name("matrix")
         self.expect("{")
         blocks = []
+        modulus = 1
         while self.peek().kind == "NAME" and self.peek().text == "block":
+            tok = self.peek()
             blocks.append(self.block_decl())
+            modulus = math.lcm(modulus, blocks[-1].order)
+            if modulus > MAX_MODULUS:
+                self.fail(f"matrix order {modulus} exceeds the supported "
+                          f"bound {MAX_MODULUS}", tok)
         self.expect("}")
         if not blocks:
             self.fail("matrix must declare at least one block")
@@ -244,7 +252,7 @@ class _Parser:
         if self.peek().kind == "^":
             self.next()
             exponent = self.expect_int("exponent")
-            base = base.pow(exponent)
+            base = base ** exponent
         return base
 
     def primary(self, spec: JordanSpec, modulus: int) -> Poly:

@@ -18,6 +18,9 @@ from functools import reduce
 from .cyclotomic import CyclotomicNumber, root_of_unity
 
 MAX_EXPONENT = 10**6  # sanity bound on exponents accepted from inputs
+# Bound on the matrix order M = lcm(block orders): arithmetic in Q(zeta_M)
+# builds phi(M) reduction rows of phi(M) coefficients each.
+MAX_MODULUS = 2048
 
 
 @dataclass(frozen=True)

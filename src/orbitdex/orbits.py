@@ -27,6 +27,10 @@ from .polynomials import GermMap
 from .resonance import project, strip_eigenvalues, validate_rnf
 
 
+# The direct-composition cross-check runs for iterates q up to this bound.
+DIRECT_CHECK_MAX_Q = 6
+
+
 class ConsistencyError(RuntimeError):
     """An identity the theory guarantees failed; indicates an engine bug."""
 
@@ -192,7 +196,6 @@ class OrbitSpectrum:
 
 
 def orbit_spectrum(spec: JordanSpec, f: GermMap, cross_check: bool = True,
-                   direct_cap: int = 6,
                    degree_cap: int = DEFAULT_DEGREE_CAP) -> OrbitSpectrum:
     """All hidden orbit counts over the period set, with optional
     cross-checks (triangular identity; direct-composition route for small
@@ -227,7 +230,7 @@ def orbit_spectrum(spec: JordanSpec, f: GermMap, cross_check: bool = True,
                 f"{triangular} vs {counts}")
         checks["f37"] = True
         for q in qs:
-            if q > direct_cap:
+            if q > DIRECT_CHECK_MAX_Q:
                 continue
             direct = direct_iterate_index(f, q, degree_cap, hint=mu[q])
             if direct != mu[q]:

@@ -201,20 +201,16 @@ class Poly:
         return self._wrap(out)
 
     def __pow__(self, n: int) -> Poly:
-        return self.pow(n)
-
-    def pow(self, n: int, trunc: int | None = None,
-            term_limit: int = DEFAULT_TERM_LIMIT) -> Poly:
         if n < 0:
             raise ValueError("negative polynomial power")
         result = Poly.constant(1, self.nvars, self.modulus)
-        base = self if trunc is None else self.truncate(trunc)
+        base = self
         while n:
             if n & 1:
-                result = result.mul(base, trunc=trunc, term_limit=term_limit)
+                result = result.mul(base)
             n >>= 1
             if n:
-                base = base.mul(base, trunc=trunc, term_limit=term_limit)
+                base = base.mul(base)
         return result
 
     # -- structure-specific operations --------------------------------------
@@ -427,18 +423,14 @@ class GermMap:
 
     def iterate(self, q: int, trunc: int | None = None,
                 term_limit: int = DEFAULT_TERM_LIMIT) -> GermMap:
-        """q-fold composition of the map with itself (q >= 1)."""
+        """q-fold composition of the map with itself (q >= 1), built as
+        f o f^k: the sparse map is the outer one at every step."""
         if q < 1:
             raise ValueError("iterate needs q >= 1")
         base = self if trunc is None else self.truncate(trunc)
-        result = None
-        while q:
-            if q & 1:
-                result = base if result is None else result.compose(
-                    base, trunc=trunc, term_limit=term_limit)
-            q >>= 1
-            if q:
-                base = base.compose(base, trunc=trunc, term_limit=term_limit)
+        result = base
+        for _ in range(q - 1):
+            result = base.compose(result, trunc=trunc, term_limit=term_limit)
         return result
 
     def truncate(self, degree: int) -> GermMap:

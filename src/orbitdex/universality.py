@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .germfile import GermDocument
-from .jordan import (JordanSpec, SequenceTarget, global_order,
+from .jordan import (MAX_MODULUS, JordanSpec, SequenceTarget, global_order,
                      is_admissible, period_set)
 from .multiplicity import DEFAULT_DEGREE_CAP
 from .orbits import ConsistencyError, orbit_spectrum
@@ -300,6 +300,10 @@ def realize(spec: JordanSpec, target: SequenceTarget,
 
     The matrix must be universal and the target admissible.
     """
+    modulus = global_order(spec)
+    if modulus > MAX_MODULUS:
+        raise ValueError(f"matrix order {modulus} exceeds the supported "
+                         f"bound {MAX_MODULUS}")
     admissible = is_admissible(spec, target)
     if not admissible:
         raise ValueError(f"target is not admissible: {admissible.reason}")

@@ -150,6 +150,18 @@ def test_realize_rejects_non_universal(capsys):
     assert code == 1 and "not universal" in out
 
 
+def test_realize_matrix_order_bound(capsys):
+    # M = 2018 is under the bound of 2048 and realizes; M = 4098 is refused
+    code, out, _ = run(capsys, "--json", "--no-timing", "realize",
+                       "[(1,2,1);(1,1009,1)]", "--seq", "2:1,1009:1,2018:1")
+    assert code == 0
+    assert json.loads(out)["results"]["counts"] == {"1": 1, "2": 1,
+                                                    "1009": 1, "2018": 1}
+    code, out, _ = run(capsys, "realize", "[(1,2,1);(1,2049,1)]",
+                       "--seq", "2:1,2049:1,4098:1")
+    assert code == 1 and "exceeds the supported bound 2048" in out
+
+
 def test_lemma42_command(capsys):
     code, out, _ = run(capsys, "--json", "--no-timing", "lemma42",
                        "--a", "2,4", "--r", "1,1")

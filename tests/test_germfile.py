@@ -1,4 +1,5 @@
 import re
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -157,7 +158,8 @@ _CANONICAL_TOKENS = re.findall(r"\w+|\S", CANONICAL)
 _SOUP = ["matrix", "block", "map", "size", "order", "power", "{", "}", "=",
          ",", ";", "+", "-", "*", "/", "^", "(", ")", "#", "\n", "w", "L0",
          "L1", "L3", "x0", "x1", "x3", "f0", "f1", "f3", "y", "$", "\u00b2",
-         "0", "1", "2", "3", "6", str(10**6 + 1), "99999999", str(10**18 + 1),
+         "0", "1", "2", "3", "6", "720", "1000000", str(10**6 + 1), "99999999",
+         str(10**18 + 1),
          "9" * 5000, "x" + "1" * 5000]
 
 
@@ -185,6 +187,36 @@ def _canonical_with(old, new):
     return CANONICAL.replace(old, new, 1)
 
 
+def _single_block(order):
+    return (f"matrix {{ block {{ size = 1, order = {order}, power = 1 }} }}\n"
+            f"map {{ f1 = L1*x1 + w({order},{order - 1})*x1^2; }}\n")
+
+
+ORDER_720 = _single_block(720)
+ORDER_1000000 = _single_block(1000000)
+
+
+def test_high_power_root_literal():
+    # z^719 reduced mod Phi_720 (phi = 192) once overflowed the recursion limit
+    assert parse_germ(ORDER_720).modulus == 720
+    assert root_of_unity(720, 719) * root_of_unity(720, 1) == 1
+
+
+def test_matrix_order_bound():
+    start = time.monotonic()
+    with pytest.raises(GermParseError, match="matrix order 1000000 exceeds "
+                                             "the supported bound 2048"):
+        parse_germ(ORDER_1000000)
+    assert time.monotonic() - start < 1
+    # each order is under the bound, their lcm 3072 is not: the error
+    # points at the block that crosses it
+    text = ("matrix {\n  block { size = 1, order = 1024, power = 1 }\n"
+            "  block { size = 1, order = 3, power = 1 }\n}\nmap { }\n")
+    with pytest.raises(GermParseError, match="matrix order 3072") as exc:
+        parse_germ(text)
+    assert (exc.value.line, exc.value.col) == (3, 3)
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(st.text(), token_soup()))
 @example(_canonical_with("L1*x1", "w(0,1)*x1"))
@@ -195,6 +227,8 @@ def _canonical_with(old, new):
 @example(_canonical_with("x2^4", "x2^\u00b2"))
 @example(_canonical_with("2*x1", "9" * 5000 + "*x1"))
 @example(_canonical_with("x2^4", "x" + "2" * 5000))
+@example(ORDER_720)
+@example(ORDER_1000000)
 def test_parser_raises_only_parse_errors(text):
     try:
         parse_germ(text)

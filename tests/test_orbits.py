@@ -1,9 +1,15 @@
-import pytest
+import math
 
-from orbitdex import (GermMap, JordanBlock, JordanSpec,
-                      direct_iterate_index, dold_index, fixed_point_index,
-                      hidden_orbit_count, multiplicity, orbit_spectrum,
-                      parse_germ, solve_counts_triangular, variables)
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from orbitdex import (GermMap, JordanBlock, JordanSpec, Poly,
+                      chain_coprime_germ, chain_germ, direct_iterate_index,
+                      dold_index, fixed_point_index, hidden_orbit_count,
+                      multiplicity, orbit_spectrum, parse_germ,
+                      solve_counts_triangular, validate_rnf, variables)
+from orbitdex.orbits import prime_factors
 from orbitdex.resonance import divide_by_leads, find_essential_blocks, \
     strip_eigenvalues
 from conftest import load_fixtures
@@ -198,3 +204,74 @@ def test_empty_mask_iterates_match_direct():
     for q in (1, 5, 7):
         assert fixed_point_index(doc.matrix, doc.gmap, q) == 1
         assert fixed_point_index(doc.matrix, doc.gmap, q, route="direct") == 1
+
+
+# -- Dold's congruences (Dold, Invent. Math. 74, 1983) ----------------------
+
+# (chain block orders, order of a coprime tail block or None)
+_DOLD_SHAPES = [((2,), None), ((1, 2), None), ((2, 4), None), ((1, 3), None),
+                ((2, 6), None), ((1, 2, 4), None), ((1,), 2), ((2,), 3),
+                ((2,), 5), ((1, 2), 3), ((3,), 4)]
+
+
+def _moebius(n):
+    primes = prime_factors(n)
+    if math.prod(primes) != n:
+        return 0
+    return (-1) ** len(primes)
+
+
+@st.composite
+def resonant_germs(draw):
+    """A chain or chain-plus-coprime-tail germ with random powers, block
+    sizes and counts, plus random resonant terms x_s * prod x_j^(k_j d_j)
+    (d_j the order of x_j's block) of degree above every other term."""
+    chain, tail = draw(st.sampled_from(_DOLD_SHAPES))
+    blocks = []
+    for d in chain:
+        powers = [p for p in range(1, d + 1) if math.gcd(p, d) == 1
+                  and (not blocks or (p - blocks[-1][1]) % blocks[-1][0] == 0)]
+        blocks.append((d, draw(st.sampled_from(powers))))
+    if tail is not None:
+        blocks.append((tail, draw(st.sampled_from(
+            [p for p in range(1, tail + 1) if math.gcd(p, tail) == 1]))))
+    sizes = [1] * len(blocks)
+    if len(blocks) < 3:
+        sizes[draw(st.integers(0, len(blocks) - 1))] = draw(st.integers(1, 2))
+    spec = JordanSpec(tuple(B(k, d, p) for k, (d, p) in zip(sizes, blocks)))
+    counts = draw(st.lists(st.integers(1, 3), min_size=spec.m,
+                           max_size=spec.m))
+    if tail is None:
+        f = chain_germ(spec, counts)
+    else:
+        cross = draw(st.lists(st.integers(1, 3), min_size=spec.m - 1,
+                              max_size=spec.m - 1))
+        f = chain_coprime_germ(spec, counts, cross)
+    n = spec.n
+    order = [spec.blocks[spec.block_of(j)].order for j in range(n)]
+    coords = list(f.coords)
+    for _ in range(draw(st.integers(0, 2))):
+        s = draw(st.integers(0, n - 1))
+        mono = [k * d for k, d in zip(
+            draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)), order)]
+        mono[s] += 1
+        short = f.max_degree() + 1 - sum(mono)
+        if short > 0:
+            mono[s] += -(-short // order[s]) * order[s]
+        coeff = draw(st.sampled_from([-2, -1, 1, 2]))
+        coords[s] = coords[s] + Poly(n, f.modulus, {tuple(mono): coeff})
+    return spec, GermMap(coords, nvars=n, modulus=f.modulus)
+
+
+@settings(max_examples=25, deadline=None)
+@given(resonant_germs())
+def test_dold_congruences(germ):
+    """sum over d | q of mu(q/d) * index(f^d) is divisible by q for every
+    q <= 12, inside the period set or not."""
+    spec, f = germ
+    assert validate_rnf(spec, f).ok
+    index = {d: fixed_point_index(spec, f, d) for d in range(1, 13)}
+    for q in index:
+        dold = sum(_moebius(q // d) * index[d]
+                   for d in range(1, q + 1) if q % d == 0)
+        assert dold % q == 0, (q, dold, index)
