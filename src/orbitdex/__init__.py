@@ -14,8 +14,8 @@ from .jordan import (CoordMask, JordanBlock, JordanSpec, SequenceTarget,
                      parse_inline_matrix, period_mask, period_set)
 from .multiplicity import MultiplicityResult, NotIsolatedWithinBound, multiplicity
 from .orbits import (ConsistencyError, OrbitSpectrum, direct_iterate_index,
-                     dold_index, fixed_point_index, hidden_orbit_count,
-                     orbit_spectrum, solve_counts_triangular)
+                     fixed_point_index, orbit_spectrum,
+                     solve_counts_triangular)
 from .polynomials import GermMap, Poly, TermBudgetExceeded, variables
 from .resonance import (NormalFormVerdict, ResonanceContext, divide_by_leads,
                         find_essential_blocks, is_resonant_monomial,
@@ -34,9 +34,8 @@ __all__ = [
     "format_inline_matrix", "global_order", "is_admissible",
     "parse_inline_matrix", "period_mask", "period_set",
     "MultiplicityResult", "NotIsolatedWithinBound", "multiplicity",
-    "ConsistencyError", "OrbitSpectrum", "direct_iterate_index", "dold_index",
-    "fixed_point_index", "hidden_orbit_count", "orbit_spectrum",
-    "solve_counts_triangular",
+    "ConsistencyError", "OrbitSpectrum", "direct_iterate_index",
+    "fixed_point_index", "orbit_spectrum", "solve_counts_triangular",
     "GermMap", "Poly", "TermBudgetExceeded", "variables",
     "NormalFormVerdict", "ResonanceContext", "divide_by_leads",
     "find_essential_blocks", "is_resonant_monomial", "lead_variable_shape_ok",

@@ -17,12 +17,12 @@ from pathlib import Path
 
 from .germfile import GermDocument, GermParseError, parse_germ, print_germ
 from .jordan import (SequenceTarget, global_order, is_admissible,
-                     parse_inline_matrix, period_mask, period_set)
+                     parse_inline_matrix, period_set)
 from .multiplicity import (DEFAULT_DEGREE_CAP, NotIsolatedWithinBound,
                            multiplicity)
 from .orbits import (ConsistencyError, direct_iterate_index,
                      fixed_point_index, orbit_spectrum)
-from .resonance import project, strip_eigenvalues, validate_rnf
+from .resonance import validate_rnf
 from .universality import (is_universal, normalized_target, realize,
                            residue_search)
 
@@ -86,17 +86,15 @@ def _cmd_check(args) -> int:
         rep.say(f"FAIL: {verdict.describe()}")
         rep.emit({"ok": False, "reason": verdict.describe()})
         return 1
-    stripped = strip_eigenvalues(doc.matrix, doc.gmap)
     try:
-        full = multiplicity(
-            project(stripped, period_mask(doc.matrix, global_order(doc.matrix))),
-            degree_cap=args.degree_cap)
+        full = fixed_point_index(doc.matrix, doc.gmap,
+                                 global_order(doc.matrix), args.degree_cap)
     except NotIsolatedWithinBound as exc:
         rep.say(f"FAIL: iterate fixed points are not isolated: {exc}")
         rep.emit({"ok": False, "reason": str(exc)})
         return 1
-    rep.say(f"OK: resonant normal form; full-period order {full.value}")
-    rep.emit({"ok": True, "full_order": full.value})
+    rep.say(f"OK: resonant normal form; full-period order {full}")
+    rep.emit({"ok": True, "full_order": full})
     return 0
 
 

@@ -56,6 +56,10 @@ class GermDocument:
 # -- tokenizer ----------------------------------------------------------------
 
 _SYMBOLS = "{}=,;+-*/^()"
+# Python's default limit on int <-> str conversion; integers below
+# _DIGIT_LIMIT have at most _MAX_DIGITS decimal digits
+_MAX_DIGITS = 4300
+_DIGIT_LIMIT = 10**_MAX_DIGITS
 _DIGITS = string.digits
 _NAME_START = string.ascii_letters + "_"
 _NAME_CHARS = _NAME_START + _DIGITS
@@ -216,6 +220,11 @@ class _Parser:
             self.expect(";")
             if not poly.constant_term().is_zero():
                 self.fail(f"coordinate {name} has a nonzero constant term", tok)
+            if any(abs(part) >= _DIGIT_LIMIT
+                   for c in poly.terms.values() for comp in c.coeffs
+                   for part in (comp.numerator, comp.denominator)):
+                self.fail(f"coordinate {name} has a coefficient of more than "
+                          f"{_MAX_DIGITS} digits, which cannot be printed", tok)
             coords[index - 1] = poly
         self.expect("}")
         missing = [f"f{j + 1}" for j in range(n) if j not in coords]

@@ -3,10 +3,13 @@
 For a germ in resonant polynomial normal form, the index of the q-th
 iterate equals the zero order of the eigenvalue-stripped map projected to
 the coordinates whose block order divides q; an empty projection means
-the identity-minus-linear-part is invertible and the index is 1.  The
-direct route computes the same index as the zero order of f^q - id by
-actual composition (exponential in q, kept for cross-checks: jet
-determinacy lets the composition be truncated adaptively).
+the identity-minus-linear-part is invertible and the index is 1.  One
+table, _iterate_indices, holds that rule: it checks the normal form and
+strips the eigenvalues once, and every index that fixed_point_index,
+the Dold indices and orbit_spectrum use is read from it.  The direct
+route computes the same index as the zero order of f^q - id by actual
+composition (exponential in q, kept for cross-checks: jet determinacy
+lets the composition be truncated adaptively).
 
 Dold indices combine iterate indices by inclusion-exclusion over the
 prime subsets of q; dividing by q yields the count of period-q orbits
@@ -18,7 +21,9 @@ independently as a cross-check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .jordan import JordanSpec, period_mask, period_set
 from .multiplicity import (DEFAULT_DEGREE_CAP, NotIsolatedWithinBound,
@@ -51,21 +56,6 @@ def prime_factors(q: int) -> list[int]:
     return out
 
 
-def _mask_index(spec: JordanSpec, stripped: GermMap, q: int,
-                cache: dict, degree_cap: int) -> int:
-    """Index of the q-th iterate via the masked projection; cached on the
-    mask bits (the only thing the value depends on)."""
-    mask = period_mask(spec, q)
-    got = cache.get(mask.bits)
-    if got is None:
-        if mask.is_zero():
-            got = 1
-        else:
-            got = multiplicity(project(stripped, mask), degree_cap).value
-        cache[mask.bits] = got
-    return got
-
-
 def direct_iterate_index(f: GermMap, q: int, degree_cap: int = DEFAULT_DEGREE_CAP,
                          hint: int | None = None) -> int:
     """Zero order of f^q - id by explicit composition.
@@ -94,68 +84,50 @@ def direct_iterate_index(f: GermMap, q: int, degree_cap: int = DEFAULT_DEGREE_CA
                 f"its truncation budget for q={q}")
 
 
-def fixed_point_index(spec: JordanSpec, f: GermMap, q: int,
-                      route: str = "projection",
-                      degree_cap: int = DEFAULT_DEGREE_CAP) -> int:
-    """Index of the q-th iterate at the origin.
+def _iterate_indices(spec: JordanSpec, f: GermMap,
+                     degree_cap: int) -> Callable[[int], int]:
+    """The q -> index table of a germ in resonant polynomial normal form.
 
-    route="projection" requires resonant polynomial normal form;
-    route="direct" composes f with itself q times (cross-check oracle).
+    The normal form is checked and the eigenvalues stripped once; each
+    index is the zero order of the stripped map projected to the q-mask,
+    cached on the mask bits (the only thing the value depends on).
     """
-    if q < 1:
-        raise ValueError("iterate exponent must be >= 1")
-    if route == "direct":
-        return direct_iterate_index(f, q, degree_cap)
-    if route != "projection":
-        raise ValueError(f"unknown route {route!r}")
     verdict = validate_rnf(spec, f)
     if not verdict.ok:
-        raise ValueError(
-            f"projection route requires resonant polynomial normal form: "
-            f"{verdict.describe()}")
+        raise ValueError(f"normal form required: {verdict.describe()}")
     stripped = strip_eigenvalues(spec, f)
-    return _mask_index(spec, stripped, q, {}, degree_cap)
+    cache: dict[int, int] = {}
+
+    def index(q: int) -> int:
+        mask = period_mask(spec, q)
+        if mask.bits not in cache:
+            cache[mask.bits] = 1 if mask.is_zero() else multiplicity(
+                project(stripped, mask), degree_cap).value
+        return cache[mask.bits]
+
+    return index
 
 
-def _dold_from_mask_indices(spec: JordanSpec, stripped: GermMap, q: int,
-                            cache: dict, degree_cap: int,
-                            audit: dict[int, int] | None = None) -> int:
+def fixed_point_index(spec: JordanSpec, f: GermMap, q: int,
+                      degree_cap: int = DEFAULT_DEGREE_CAP) -> int:
+    """Index of the q-th iterate at the origin; f must be in resonant
+    polynomial normal form (direct_iterate_index needs no normal form)."""
+    if q < 1:
+        raise ValueError("iterate exponent must be >= 1")
+    return _iterate_indices(spec, f, degree_cap)(q)
+
+
+def _dold(index: Callable[[int], int], q: int, seen: dict[int, int]) -> int:
+    """Inclusion-exclusion of iterate indices over the prime subsets of q;
+    every index read is recorded in seen."""
     total = 0
     primes = prime_factors(q)
     for subset in range(1 << len(primes)):
-        quotient = q
-        bits = 0
-        for i, p in enumerate(primes):
-            if subset >> i & 1:
-                quotient //= p
-                bits += 1
-        mu = _mask_index(spec, stripped, quotient, cache, degree_cap)
-        if audit is not None:
-            audit[quotient] = mu
-        total += (-1) ** bits * mu
+        chosen = [p for i, p in enumerate(primes) if subset >> i & 1]
+        d = q // math.prod(chosen)
+        seen[d] = index(d)
+        total += (-1) ** len(chosen) * seen[d]
     return total
-
-
-def dold_index(spec: JordanSpec, f: GermMap, q: int,
-               degree_cap: int = DEFAULT_DEGREE_CAP) -> int:
-    """Inclusion-exclusion of iterate indices over prime subsets of q."""
-    verdict = validate_rnf(spec, f)
-    if not verdict.ok:
-        raise ValueError(
-            f"normal form required: {verdict.describe()}")
-    stripped = strip_eigenvalues(spec, f)
-    return _dold_from_mask_indices(spec, stripped, q, {}, degree_cap)
-
-
-def hidden_orbit_count(spec: JordanSpec, f: GermMap, q: int,
-                       degree_cap: int = DEFAULT_DEGREE_CAP) -> int:
-    """Number of period-q orbits hidden at the origin: the q-th Dold
-    index divided by q (divisibility is guaranteed and hard-checked)."""
-    p_q = dold_index(spec, f, q, degree_cap)
-    if p_q % q:
-        raise ConsistencyError(
-            f"Dold index {p_q} for q={q} is not divisible by q")
-    return p_q // q
 
 
 def solve_counts_triangular(spec: JordanSpec, mask_orders: dict[int, int]) -> dict[int, int]:
@@ -200,21 +172,15 @@ def orbit_spectrum(spec: JordanSpec, f: GermMap, cross_check: bool = True,
     """All hidden orbit counts over the period set, with optional
     cross-checks (triangular identity; direct-composition route for small
     iterates)."""
-    verdict = validate_rnf(spec, f)
-    if not verdict.ok:
-        raise ValueError(f"normal form required: {verdict.describe()}")
-    stripped = strip_eigenvalues(spec, f)
+    index = _iterate_indices(spec, f, degree_cap)
     pe = sorted(period_set(spec))
     qs = sorted(set(pe) | {1})
-    cache: dict = {}
     mu: dict[int, int] = {}
     dold: dict[int, int] = {}
     counts: dict[int, int] = {}
     route: dict[int, str] = {}
     for q in qs:
-        mu[q] = _mask_index(spec, stripped, q, cache, degree_cap)
-        dold[q] = _dold_from_mask_indices(spec, stripped, q, cache,
-                                          degree_cap, audit=mu)
+        dold[q] = _dold(index, q, mu)
         if dold[q] % q:
             raise ConsistencyError(
                 f"Dold index {dold[q]} for q={q} is not divisible by q")

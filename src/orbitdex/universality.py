@@ -106,10 +106,15 @@ class ResidueWitness:
     bound: int  # prod(a_j) / lcm(a_j)
 
 
+# residue_search tries every k up to lcm(moduli), about a microsecond each
+MAX_RESIDUE_LCM = 10**6
+
+
 def residue_search(moduli, powers) -> ResidueWitness:
     """Brute-force k in 1..lcm(moduli), minimizing the product of the
     canonical residues k*r_j mod a_j (each forced into 1..a_j-1); k that
-    hit a zero residue are skipped.  Ties keep the smallest k."""
+    hit a zero residue are skipped.  Ties keep the smallest k.  An lcm
+    above MAX_RESIDUE_LCM is refused with ValueError."""
     moduli = tuple(moduli)
     powers = tuple(powers)
     if len(moduli) != len(powers) or not moduli:
@@ -120,6 +125,9 @@ def residue_search(moduli, powers) -> ResidueWitness:
         if math.gcd(a, r) != 1:
             raise ValueError(f"gcd({r}, {a}) must be 1")
     total_lcm = reduce(math.lcm, moduli)
+    if total_lcm > MAX_RESIDUE_LCM:
+        raise ValueError(f"lcm of the moduli {total_lcm} exceeds the "
+                         f"supported bound {MAX_RESIDUE_LCM}")
     product_all = 1
     for a in moduli:
         product_all *= a

@@ -172,6 +172,16 @@ def test_lemma42_command(capsys):
     assert payload["results"]["bound"] == 2
 
 
+def test_lemma42_lcm_bound(capsys):
+    code, out, _ = run(capsys, "--json", "--no-timing", "lemma42",
+                       "--a", "10007,10009", "--r", "2,3")
+    assert code == 1
+    assert json.loads(out)["results"] == {
+        "ok": False,
+        "reason": "lcm of the moduli 100160063 exceeds the supported "
+                  "bound 1000000"}
+
+
 def test_paper_suite_passes(capsys):
     code, out, _ = run(capsys, "paper-suite")
     assert code == 0

@@ -217,6 +217,19 @@ def test_matrix_order_bound():
     assert (exc.value.line, exc.value.col) == (3, 3)
 
 
+def test_coefficient_digit_bound():
+    # 7^6000 has 5071 digits, more than int <-> str converts: the printer
+    # could not write it, so the parser refuses it at the coordinate
+    text = ("matrix { block { size = 1, order = 2, power = 1 } }\n"
+            "map { f1 = L1*x1 + 7^6000*x1^3; }\n")
+    with pytest.raises(GermParseError, match="more than 4300 digits") as exc:
+        parse_germ(text)
+    assert (exc.value.line, exc.value.col) == (2, 7)
+    # 7^4000 has 3381 digits and round-trips
+    doc = parse_germ(text.replace("6000", "4000"))
+    assert parse_germ(print_germ(doc)) == doc
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(st.text(), token_soup()))
 @example(_canonical_with("L1*x1", "w(0,1)*x1"))

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 from orbitdex import (GermMap, JordanBlock, JordanSpec, Poly,
                       chain_coprime_germ, chain_germ, direct_iterate_index,
-                      dold_index, fixed_point_index, hidden_orbit_count,
-                      multiplicity, orbit_spectrum, parse_germ,
-                      solve_counts_triangular, validate_rnf, variables)
+                      fixed_point_index, multiplicity, orbit_spectrum,
+                      parse_germ, solve_counts_triangular, validate_rnf,
+                      variables)
 from orbitdex.orbits import prime_factors
 from orbitdex.resonance import divide_by_leads, find_essential_blocks, \
     strip_eigenvalues
@@ -37,12 +37,12 @@ def flip_cubic():
 def test_fixed_point_index_examples():
     spec, f = flip_cubic()
     assert fixed_point_index(spec, f, 2) == 3
-    assert fixed_point_index(spec, f, 2, route="direct") == 3
+    assert direct_iterate_index(f, 2) == 3
     assert fixed_point_index(spec, f, 1) == 1          # empty mask
-    assert fixed_point_index(spec, f, 1, route="direct") == 1
+    assert direct_iterate_index(f, 1) == 1
     doc = parse_germ(WORKED)
     assert fixed_point_index(doc.matrix, doc.gmap, 6) == 12
-    assert fixed_point_index(doc.matrix, doc.gmap, 6, route="direct") == 12
+    assert direct_iterate_index(doc.gmap, 6) == 12
 
 
 def test_projection_route_requires_normal_form():
@@ -52,22 +52,21 @@ def test_projection_route_requires_normal_form():
         fixed_point_index(spec, GermMap([-x + x**2]), 2)
 
 
-def test_dold_index_examples():
+def test_dold_and_count_examples():
     spec, f = flip_cubic()
-    assert dold_index(spec, f, 2) == 3 - 1
-    assert dold_index(spec, f, 4) == 0  # same mask at 4 and 2
+    sp = orbit_spectrum(spec, f)
+    assert sp.dold[2] == 3 - 1
+    assert sp.counts[2] == 1
+    # 4 is outside the period set: its Dold index is index(f^4) -
+    # index(f^2), zero because the masks at 4 and 2 are the same
+    assert fixed_point_index(spec, f, 4) - fixed_point_index(spec, f, 2) == 0
     doc = parse_germ(WORKED)
-    assert dold_index(doc.matrix, doc.gmap, 6) == 12 - 3 - 4 + 1
-
-
-def test_hidden_orbit_count_examples():
-    spec, f = flip_cubic()
-    assert hidden_orbit_count(spec, f, 2) == 1
+    assert orbit_spectrum(doc.matrix, doc.gmap).dold[6] == 12 - 3 - 4 + 1
     x, = variables(1, modulus=2)
-    assert hidden_orbit_count(spec, GermMap([-x + x**5]), 2) == 2
+    assert orbit_spectrum(spec, GermMap([-x + x**5])).counts[2] == 2
     unit = JordanSpec((B(1, 1, 1),))
     y, = variables(1, modulus=1)
-    assert hidden_orbit_count(unit, GermMap([y + y**3]), 1) == 3
+    assert orbit_spectrum(unit, GermMap([y + y**3])).counts[1] == 3
 
 
 def test_orbit_spectrum_worked_fixture():
@@ -203,7 +202,7 @@ def test_empty_mask_iterates_match_direct():
     doc = parse_germ(WORKED)
     for q in (1, 5, 7):
         assert fixed_point_index(doc.matrix, doc.gmap, q) == 1
-        assert fixed_point_index(doc.matrix, doc.gmap, q, route="direct") == 1
+        assert direct_iterate_index(doc.gmap, q) == 1
 
 
 # -- Dold's congruences (Dold, Invent. Math. 74, 1983) ----------------------

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import pytest
 
@@ -142,6 +143,15 @@ def test_residue_search_examples():
     assert w.k == 3 and w.residues == (1,)
     with pytest.raises(ValueError):
         residue_search((4,), (2,))
+
+
+def test_residue_search_lcm_bound():
+    # k runs up to lcm(moduli); an lcm of about 10^8 is refused at once
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="lcm of the moduli 100160063 "
+                                         "exceeds the supported bound 1000000"):
+        residue_search((10007, 10009), (2, 3))
+    assert time.monotonic() - start < 1
 
 
 def test_residue_search_bound_small_exhaustive():
