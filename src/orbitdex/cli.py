@@ -157,15 +157,17 @@ def _cmd_spectrum(args) -> int:
     rep.say("pe: " + " ".join(str(q) for q in sp.pe))
     rep.say("counts: " + " ".join(f"{q}:{v}" for q, v in sorted(sp.counts.items())))
     rep.say("mu: " + " ".join(f"{q}:{v}" for q, v in sorted(sp.mu.items())))
-    rep.emit(
-        {
-            "pe": list(sp.pe),
-            "mu": dict(sp.mu),
-            "dold": dict(sp.dold),
-            "counts": dict(sp.counts),
-        },
-        checks=dict(sp.checks) or None,
-    )
+    results = {
+        "pe": list(sp.pe),
+        "mu": dict(sp.mu),
+        "dold": dict(sp.dold),
+        "counts": dict(sp.counts),
+    }
+    if sp.unchecked:
+        rep.say("unchecked: " + "; ".join(
+            f"q={q} ({why})" for q, why in sorted(sp.unchecked.items())))
+        results["unchecked"] = dict(sp.unchecked)
+    rep.emit(results, checks=dict(sp.checks) or None)
     return 0
 
 

@@ -7,8 +7,11 @@ Values are kept fully reduced mod Phi_M, so equality and zero tests are
 plain coefficient comparisons; the rank computations downstream rely on
 that constantly.
 
-Rational coefficients are fractions.Fraction.  M = 1 gives plain Q
-(phi(1) = 1, basis {1}).  Mixed-modulus arithmetic is rejected; use
+The coefficients are one integer vector num over one positive integer
+den, in lowest terms (gcd(den, *num) == 1, and zero is all-zero over 1),
+so each value has one form and the arithmetic is on integers; the
+coeffs property gives them as Fractions.  M = 1 gives plain Q (phi(1) = 1,
+basis {1}).  Mixed-modulus arithmetic is rejected; use
 :meth:`CyclotomicNumber.embed` to move into a larger field explicitly.
 
 >>> z = root_of_unity(6, 1, 6)
@@ -21,7 +24,9 @@ True
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
+from operator import add, neg, sub
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -115,16 +120,15 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _zeta_power(m: int, k: int) -> tuple[Fraction, ...]:
-    """z^k mod Phi_m as a reduced coefficient vector."""
+def _zeta_power(m: int, k: int) -> tuple[int, ...]:
+    """z^k mod Phi_m as a reduced integer coefficient vector."""
     phi = euler_phi(m)
     _, rem = _poly_divmod((0,) * (k % m) + (1,), cyclotomic_polynomial(m))
-    rem = tuple(Fraction(c) if c else _ZERO for c in rem)
-    return rem + (_ZERO,) * (phi - len(rem))
+    return rem + (0,) * (phi - len(rem))
 
 
 @functools.lru_cache(maxsize=None)
-def _reduction_rows(m: int) -> tuple[tuple[Fraction, ...], ...]:
+def _reduction_rows(m: int) -> tuple[tuple[int, ...], ...]:
     """Rows r[i] = z^(phi+i) reduced mod Phi_m, for i = 0 .. phi-2 (what a
     product of two reduced elements can reach)."""
     phi = euler_phi(m)
@@ -132,21 +136,17 @@ def _reduction_rows(m: int) -> tuple[tuple[Fraction, ...], ...]:
 
 
 def _raw_mul(m, a, b):
+    """Product of two integer coefficient vectors, reduced mod Phi_m."""
     phi = len(a)
-    conv = [_ZERO] * (2 * phi - 1)
+    conv = [0] * (2 * phi - 1)
     for i, ca in enumerate(a):
         if ca:
-            for j, cb in enumerate(b):
+            for j, cb in enumerate(b, i):
                 if cb:
-                    conv[i + j] += ca * cb
-    if phi == 1:
-        return (conv[0],)
-    rows = _reduction_rows(m)
+                    conv[j] += ca * cb
     out = conv[:phi]
-    for i in range(phi, 2 * phi - 1):
-        c = conv[i]
+    for c, row in zip(conv[phi:], _reduction_rows(m)):
         if c:
-            row = rows[i - phi]
             for j, r in enumerate(row):
                 if r:
                     out[j] += c * r
@@ -154,9 +154,10 @@ def _raw_mul(m, a, b):
 
 
 class CyclotomicNumber:
-    """An element of Q(zeta_M), canonically reduced mod Phi_M."""
+    """An element of Q(zeta_M), canonically reduced mod Phi_M: the integer
+    vector num over the positive integer den, in lowest terms."""
 
-    __slots__ = ("modulus", "coeffs")
+    __slots__ = ("modulus", "num", "den")
 
     def __init__(self, modulus: int, coeffs):
         coeffs = tuple(coeffs)
@@ -165,39 +166,53 @@ class CyclotomicNumber:
                 f"expected {euler_phi(modulus)} coefficients for modulus "
                 f"{modulus}, got {len(coeffs)}"
             )
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "coeffs", coeffs)
+        for c in coeffs:
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"cannot use {c!r} as a rational coefficient")
+        # Fractions are in lowest terms, so num / den over their lcm is too
+        den = math.lcm(*(c.denominator for c in coeffs))
+        _set_modulus(self, modulus)
+        _set_num(self, tuple(c.numerator * (den // c.denominator)
+                             for c in coeffs))
+        _set_den(self, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("CyclotomicNumber is immutable")
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients num[k] / den as Fractions."""
+        den = self.den
+        return tuple(Fraction(n, den) for n in self.num)
 
     # -- constructors --------------------------------------------------
 
     @staticmethod
     def from_rational(value, modulus: int = 1) -> CyclotomicNumber:
-        phi = euler_phi(modulus)
-        coeffs = [_ZERO] * phi
-        coeffs[0] = Fraction(value)
-        return CyclotomicNumber(modulus, coeffs)
+        if not isinstance(value, (int, Fraction)):
+            value = Fraction(value)
+        top = value.numerator
+        return _make(modulus, tuple([top * u for u in _zeta_power(modulus, 0)]),
+                     value.denominator)
 
     @staticmethod
     def zero(modulus: int = 1) -> CyclotomicNumber:
-        return CyclotomicNumber(modulus, [_ZERO] * euler_phi(modulus))
+        return _make(modulus, (0,) * len(_zeta_power(modulus, 0)))
 
     @staticmethod
     def one(modulus: int = 1) -> CyclotomicNumber:
-        return CyclotomicNumber.from_rational(1, modulus)
+        return _make(modulus, _zeta_power(modulus, 0))
 
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return any(self.num)
 
     # -- coercion ------------------------------------------------------
 
@@ -222,37 +237,44 @@ class CyclotomicNumber:
                 f"cannot embed Q(zeta_{self.modulus}) into Q(zeta_{modulus})"
             )
         step = modulus // self.modulus
-        phi = euler_phi(modulus)
-        out = [_ZERO] * phi
-        for k, c in enumerate(self.coeffs):
+        out = [0] * len(_zeta_power(modulus, 0))
+        for k, c in enumerate(self.num):
             if c:
                 for j, r in enumerate(_zeta_power(modulus, k * step)):
                     if r:
                         out[j] += c * r
-        return CyclotomicNumber(modulus, out)
+        return _make(modulus, tuple(out), self.den)
 
     # -- field operations ------------------------------------------------
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return CyclotomicNumber(
-            self.modulus, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        if type(other) is not CyclotomicNumber or other.modulus != self.modulus:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        da, db = self.den, other.den
+        if da == db:
+            return _make(self.modulus, tuple(map(add, self.num, other.num)), da)
+        return _make(self.modulus,
+                     tuple([a * db + b * da for a, b in zip(self.num, other.num)]),
+                     da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CyclotomicNumber(self.modulus, tuple(-a for a in self.coeffs))
+        return _make(self.modulus, tuple(map(neg, self.num)), self.den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return CyclotomicNumber(
-            self.modulus, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        if type(other) is not CyclotomicNumber or other.modulus != self.modulus:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        da, db = self.den, other.den
+        if da == db:
+            return _make(self.modulus, tuple(map(sub, self.num, other.num)), da)
+        return _make(self.modulus,
+                     tuple([a * db - b * da for a, b in zip(self.num, other.num)]),
+                     da * db)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -261,20 +283,24 @@ class CyclotomicNumber:
         return other - self
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if other.is_rational():
-            c = other.coeffs[0]
-            if c == 1:
+        if type(other) is not CyclotomicNumber or other.modulus != self.modulus:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b = self.num, other.num
+        if len(a) == 1:
+            num = (a[0] * b[0],)
+        elif not any(b[1:]):
+            c = b[0]
+            if c == 1 and other.den == 1:
                 return self
-            return CyclotomicNumber(self.modulus, tuple(a * c for a in self.coeffs))
-        if self.is_rational():
-            c = self.coeffs[0]
-            return CyclotomicNumber(self.modulus, tuple(c * b for b in other.coeffs))
-        return CyclotomicNumber(
-            self.modulus, _raw_mul(self.modulus, self.coeffs, other.coeffs)
-        )
+            num = tuple([x * c for x in a])
+        elif not any(a[1:]):
+            c = a[0]
+            num = tuple([c * y for y in b])
+        else:
+            num = _raw_mul(self.modulus, a, b)
+        return _make(self.modulus, num, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -284,7 +310,8 @@ class CyclotomicNumber:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
         if self.is_rational():
-            return CyclotomicNumber.from_rational(1 / self.coeffs[0], self.modulus)
+            return CyclotomicNumber.from_rational(
+                Fraction(self.den, self.num[0]), self.modulus)
         # extended Euclid: s*a + t*Phi = gcd (a nonzero of degree < phi,
         # Phi irreducible, so gcd is a nonzero constant)
         r0 = tuple(map(Fraction, cyclotomic_polynomial(self.modulus)))
@@ -296,7 +323,7 @@ class CyclotomicNumber:
             s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
         assert len(r0) == 1
         scale = 1 / r0[0]
-        phi = euler_phi(self.modulus)
+        phi = len(self.num)
         inv = [c * scale for c in s0] + [_ZERO] * (phi - len(s0))
         return CyclotomicNumber(self.modulus, inv[:phi])
 
@@ -330,18 +357,19 @@ class CyclotomicNumber:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
+            return (self.num[0] == other.numerator
+                    and self.den == other.denominator and self.is_rational())
         if isinstance(other, CyclotomicNumber):
             if other.modulus != self.modulus:
                 raise ValueError(
                     f"comparing cyclotomic numbers of moduli {self.modulus} "
                     f"and {other.modulus}; embed first"
                 )
-            return self.coeffs == other.coeffs
+            return self.num == other.num and self.den == other.den
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.modulus, self.coeffs))
+        return hash((self.modulus, self.num, self.den))
 
     def __str__(self):
         parts = []
@@ -368,6 +396,28 @@ class CyclotomicNumber:
         return f"{self} @ Q(zeta_{self.modulus})"
 
 
+_new = object.__new__
+_set_modulus = CyclotomicNumber.modulus.__set__
+_set_num = CyclotomicNumber.num.__set__
+_set_den = CyclotomicNumber.den.__set__
+
+
+def _make(modulus: int, num: tuple, den: int = 1) -> CyclotomicNumber:
+    """The trusted constructor: num / den brought to lowest terms, where
+    num is an integer vector already reduced mod Phi_modulus and den is
+    positive.  Nothing else is checked."""
+    if den != 1:
+        g = math.gcd(den, *num)
+        if g != 1:
+            num = tuple([n // g for n in num])
+            den //= g
+    x = _new(CyclotomicNumber)
+    _set_modulus(x, modulus)
+    _set_num(x, num)
+    _set_den(x, den)
+    return x
+
+
 def root_of_unity(order: int, power: int, modulus: int | None = None) -> CyclotomicNumber:
     """e^(2 pi i power/order) as an element of Q(zeta_modulus).
 
@@ -383,4 +433,4 @@ def root_of_unity(order: int, power: int, modulus: int | None = None) -> Cycloto
     if modulus % order != 0:
         raise ValueError(f"order {order} does not divide modulus {modulus}")
     k = (power * (modulus // order)) % modulus
-    return CyclotomicNumber(modulus, _zeta_power(modulus, k))
+    return _make(modulus, _zeta_power(modulus, k))

@@ -60,6 +60,7 @@ _SYMBOLS = "{}=,;+-*/^()"
 # _DIGIT_LIMIT have at most _MAX_DIGITS decimal digits
 _MAX_DIGITS = 4300
 _DIGIT_LIMIT = 10**_MAX_DIGITS
+_LIMIT_BITS = _DIGIT_LIMIT.bit_length()   # 2^_LIMIT_BITS > _DIGIT_LIMIT
 _DIGITS = string.digits
 _NAME_START = string.ascii_letters + "_"
 _NAME_CHARS = _NAME_START + _DIGITS
@@ -216,15 +217,11 @@ class _Parser:
             if index - 1 in coords:
                 self.fail(f"duplicate coordinate {name}", tok)
             self.expect("=")
-            poly = self.expr(spec, modulus)
+            poly = self.expr(spec, modulus, tok)
             self.expect(";")
             if not poly.constant_term().is_zero():
                 self.fail(f"coordinate {name} has a nonzero constant term", tok)
-            if any(abs(part) >= _DIGIT_LIMIT
-                   for c in poly.terms.values() for comp in c.coeffs
-                   for part in (comp.numerator, comp.denominator)):
-                self.fail(f"coordinate {name} has a coefficient of more than "
-                          f"{_MAX_DIGITS} digits, which cannot be printed", tok)
+            self.check_digits(poly, tok)
             coords[index - 1] = poly
         self.expect("}")
         missing = [f"f{j + 1}" for j in range(n) if j not in coords]
@@ -232,7 +229,24 @@ class _Parser:
             self.fail(f"missing coordinate(s) {', '.join(missing)}")
         return [coords[j] for j in range(n)]
 
-    def expr(self, spec: JordanSpec, modulus: int) -> Poly:
+    def check_digits(self, poly: Poly, coord: _Token) -> None:
+        """Refuse a coefficient with a numerator or denominator the printer
+        cannot write; the error points at the coordinate name.  The
+        printer writes each component num[k] / den in lowest terms, which
+        can be in bound when den is not."""
+        for c in poly.terms.values():
+            if (c.den < _DIGIT_LIMIT
+                    and all(-_DIGIT_LIMIT < n < _DIGIT_LIMIT for n in c.num)):
+                continue
+            if any(abs(part) >= _DIGIT_LIMIT for comp in c.coeffs
+                   for part in (comp.numerator, comp.denominator)):
+                self.refuse_digits(coord)
+
+    def refuse_digits(self, coord: _Token):
+        self.fail(f"coordinate {coord.text} has a coefficient of more than "
+                  f"{_MAX_DIGITS} digits, which cannot be printed", coord)
+
+    def expr(self, spec: JordanSpec, modulus: int, coord: _Token) -> Poly:
         n = spec.n
         total = Poly.zero(n, modulus)
         sign = 1
@@ -241,7 +255,7 @@ class _Parser:
             self.next()
             sign = -1 if tok.kind == "-" else 1
         while True:
-            total = total + self.term(spec, modulus) * sign
+            total = total + self.term(spec, modulus, coord) * sign
             tok = self.peek()
             if tok.kind in "+-":
                 self.next()
@@ -249,18 +263,29 @@ class _Parser:
                 continue
             return total
 
-    def term(self, spec: JordanSpec, modulus: int) -> Poly:
-        poly = self.atom(spec, modulus)
+    def term(self, spec: JordanSpec, modulus: int, coord: _Token) -> Poly:
+        # every partial product is held under the digit bound, so no
+        # product is formed from factors of more than _MAX_DIGITS digits
+        poly = self.atom(spec, modulus, coord)
+        self.check_digits(poly, coord)
         while self.peek().kind == "*":
             self.next()
-            poly = poly * self.atom(spec, modulus)
+            poly = poly * self.atom(spec, modulus, coord)
+            self.check_digits(poly, coord)
         return poly
 
-    def atom(self, spec: JordanSpec, modulus: int) -> Poly:
+    def atom(self, spec: JordanSpec, modulus: int, coord: _Token) -> Poly:
         base = self.primary(spec, modulus)
         if self.peek().kind == "^":
             self.next()
             exponent = self.expect_int("exponent")
+            # if |p| or q of a rational c = p/q is at least 2^b, the
+            # numerator or denominator of c^e is at least 2^(b*e): refuse
+            # such a power before computing it
+            for c in base.terms.values():
+                if c.is_rational() and exponent * (
+                        max(abs(c.num[0]), c.den).bit_length() - 1) >= _LIMIT_BITS:
+                    self.refuse_digits(coord)
             base = base ** exponent
         return base
 

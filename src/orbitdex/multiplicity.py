@@ -194,8 +194,8 @@ def _echelon_and_rows(coords) -> tuple[_Echelon, list[dict]]:
         return _Echelon(integral=False), [dict(p.terms) for p in coords]
     rows = []
     for p in coords:
-        denom = math.lcm(*(c.coeffs[0].denominator for c in p.terms.values()))
-        rows.append({m: int(c.coeffs[0] * denom) for m, c in p.terms.items()})
+        denom = math.lcm(*(c.den for c in p.terms.values()))
+        rows.append({m: c.num[0] * (denom // c.den) for m, c in p.terms.items()})
     return _Echelon(integral=True), rows
 
 

@@ -28,12 +28,15 @@ from typing import Callable
 from .jordan import JordanSpec, period_mask, period_set
 from .multiplicity import (DEFAULT_DEGREE_CAP, NotIsolatedWithinBound,
                            multiplicity)
-from .polynomials import GermMap
+from .polynomials import DEFAULT_TERM_LIMIT, GermMap, TermBudgetExceeded
 from .resonance import project, strip_eigenvalues, validate_rnf
 
 
-# The direct-composition cross-check runs for iterates q up to this bound.
+# The direct-composition cross-check runs for iterates q up to this bound,
+# and gives up on a q (reporting it unchecked) once one product of its
+# composition passes this many terms.
 DIRECT_CHECK_MAX_Q = 6
+DIRECT_CHECK_TERM_LIMIT = 2_000
 
 
 class ConsistencyError(RuntimeError):
@@ -57,17 +60,19 @@ def prime_factors(q: int) -> list[int]:
 
 
 def direct_iterate_index(f: GermMap, q: int, degree_cap: int = DEFAULT_DEGREE_CAP,
-                         hint: int | None = None) -> int:
+                         hint: int | None = None,
+                         term_limit: int = DEFAULT_TERM_LIMIT) -> int:
     """Zero order of f^q - id by explicit composition.
 
     The composition is truncated at a degree D and retried with doubled D
     until the computed order is < D; a germ whose low jet matches f^q - id
-    up to its own order has the same order, so the result is exact.
+    up to its own order has the same order, so the result is exact.  A
+    product of more than term_limit terms raises TermBudgetExceeded.
     """
     start = max(4, hint + 2 if hint is not None else 8)
     trunc = start
     while trunc <= max(degree_cap * 4, start):
-        g = f.iterate(q, trunc=trunc)
+        g = f.iterate(q, trunc=trunc, term_limit=term_limit)
         try:
             value = multiplicity(g.minus_identity(), degree_cap=trunc).value
         except NotIsolatedWithinBound as exc:
@@ -165,13 +170,16 @@ class OrbitSpectrum:
     counts: dict[int, int]      # q -> hidden orbit count, q in PE + {1}
     route: dict[int, str] = field(default_factory=dict)
     checks: dict[str, bool] = field(default_factory=dict)
+    unchecked: dict[int, str] = field(default_factory=dict)  # q -> why
 
 
 def orbit_spectrum(spec: JordanSpec, f: GermMap, cross_check: bool = True,
                    degree_cap: int = DEFAULT_DEGREE_CAP) -> OrbitSpectrum:
     """All hidden orbit counts over the period set, with optional
     cross-checks (triangular identity; direct-composition route for small
-    iterates)."""
+    iterates).  A q whose direct composition runs past
+    DIRECT_CHECK_TERM_LIMIT terms keeps the projection route, is named in
+    unchecked, and sets checks["direct"] to False."""
     index = _iterate_indices(spec, f, degree_cap)
     pe = sorted(period_set(spec))
     qs = sorted(set(pe) | {1})
@@ -187,6 +195,7 @@ def orbit_spectrum(spec: JordanSpec, f: GermMap, cross_check: bool = True,
         counts[q] = dold[q] // q
         route[q] = "projection"
     checks: dict[str, bool] = {}
+    unchecked: dict[int, str] = {}
     if cross_check:
         triangular = solve_counts_triangular(
             spec, {d: mu[d] for d in qs})
@@ -198,11 +207,19 @@ def orbit_spectrum(spec: JordanSpec, f: GermMap, cross_check: bool = True,
         for q in qs:
             if q > DIRECT_CHECK_MAX_Q:
                 continue
-            direct = direct_iterate_index(f, q, degree_cap, hint=mu[q])
+            try:
+                direct = direct_iterate_index(
+                    f, q, degree_cap, hint=mu[q],
+                    term_limit=DIRECT_CHECK_TERM_LIMIT)
+            except TermBudgetExceeded:
+                unchecked[q] = (f"direct composition past "
+                                f"{DIRECT_CHECK_TERM_LIMIT} terms")
+                continue
             if direct != mu[q]:
                 raise ConsistencyError(
                     f"direct route gives {direct} for q={q}, projection "
                     f"gives {mu[q]}")
             route[q] = "both-agree"
-        checks["direct"] = True
-    return OrbitSpectrum(spec, tuple(pe), mu, dold, counts, route, checks)
+        checks["direct"] = not unchecked
+    return OrbitSpectrum(spec, tuple(pe), mu, dold, counts, route, checks,
+                         unchecked)

@@ -2,6 +2,7 @@ import json
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -33,6 +34,22 @@ matrix {
 map {
   f1 = L1*x1 + x1*x2^3;
   f2 = L2*x2 + x2*x1^2;
+}
+"""
+
+
+# chain_germ([(2,2,1);(2,6,1)], r=(2,3)): its f^6 needs products of more
+# terms than the direct check's budget
+KNOWN_HANG = """\
+matrix {
+  block { size = 2, order = 2, power = 1 }
+  block { size = 2, order = 6, power = 1 }
+}
+map {
+  f1 = L1*x1 + x2;
+  f2 = L1*x2 + x3^3 + x1^5;
+  f3 = L2*x3 + x4;
+  f4 = L2*x4 + x1^6*x3;
 }
 """
 
@@ -109,6 +126,23 @@ def test_spectrum_json_schema(capsys, worked):
     assert payload["results"]["mu"]["6"] == 12
     assert payload["results"]["dold"]["6"] == 6
     assert payload["checks"] == {"f37": True, "direct": True}
+
+
+def test_spectrum_reports_q_past_the_term_budget(capsys, tmp_path):
+    path = tmp_path / "hang.germ"
+    path.write_text(KNOWN_HANG)
+    start = time.monotonic()
+    code, out, _ = run(capsys, "--json", "--no-timing", "spectrum", str(path))
+    assert time.monotonic() - start < 10
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["results"]["counts"] == {"1": 1, "2": 2, "6": 3}
+    assert payload["checks"] == {"f37": True, "direct": False}
+    assert payload["results"]["unchecked"] == {
+        "6": "direct composition past 2000 terms"}
+    code, out, _ = run(capsys, "spectrum", str(path))
+    assert code == 0
+    assert "unchecked: q=6 (direct composition past 2000 terms)" in out
 
 
 def test_spectrum_deterministic_output(capsys, worked):

@@ -112,3 +112,110 @@ def test_root_orders_and_primitivity(d, r):
     if math.gcd(r, d) == 1:
         for k in range(1, d):
             assert z**k != 1
+
+
+# -- the integer representation against a Fraction-vector reference ---------
+#
+# The reference keeps plain Fraction coefficient vectors and reduces a
+# product by long division by Phi_M; it shares nothing with the integer
+# numerators, the common denominator or the reduction table.
+
+MODULI = (1, 2, 3, 4, 5, 6, 8, 12, 30)
+
+
+def _ref_reduce(m, vec):
+    phi_poly = cyclotomic_polynomial(m)
+    top = len(phi_poly) - 1
+    vec = list(vec)
+    for k in range(len(vec) - 1, top - 1, -1):
+        c = vec[k]
+        if c:
+            for i, p in enumerate(phi_poly):
+                vec[k - top + i] -= c * p
+    return tuple(vec[:top]) + (Fraction(0),) * (top - len(vec))
+
+
+def _ref_mul(m, a, b):
+    conv = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            conv[i + j] += x * y
+    return _ref_reduce(m, conv)
+
+
+def _ref_embed(m, n, a):
+    step = n // m
+    out = [Fraction(0)] * (step * m)
+    for k, c in enumerate(a):
+        out[k * step % n] += c
+    return _ref_reduce(n, out)
+
+
+def _assert_canonical(x):
+    assert len(x.num) == euler_phi(x.modulus)
+    assert all(type(n) is int for n in x.num) and type(x.den) is int
+    assert x.den >= 1 and math.gcd(x.den, *x.num) == 1
+    if not any(x.num):
+        assert x.den == 1
+
+
+@st.composite
+def _field_and_vectors(draw):
+    m = draw(st.sampled_from(MODULI))
+    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    vec = st.lists(coeff, min_size=euler_phi(m), max_size=euler_phi(m))
+    sparse = vec.map(lambda v: [c if i % 3 == 0 else Fraction(0)
+                                for i, c in enumerate(v)])
+    return m, draw(st.one_of(vec, sparse)), draw(st.one_of(vec, sparse))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_field_and_vectors(), st.sampled_from([1, 2, 3]))
+def test_integer_representation_matches_fraction_reference(data, stretch):
+    m, va, vb = data
+    a, b = CyclotomicNumber(m, va), CyclotomicNumber(m, vb)
+    va, vb = tuple(va), tuple(vb)
+    assert a.coeffs == va and b.coeffs == vb
+    expected = {
+        "+": tuple(x + y for x, y in zip(va, vb)),
+        "-": tuple(x - y for x, y in zip(va, vb)),
+        "*": _ref_mul(m, va, vb),
+        "neg": tuple(-x for x in va),
+    }
+    got = {"+": a + b, "-": a - b, "*": a * b, "neg": -a}
+    for op, value in got.items():
+        _assert_canonical(value)
+        assert value.coeffs == expected[op], op
+        assert value == CyclotomicNumber(m, expected[op]), op
+    for x in (a, b):
+        _assert_canonical(x)
+        if x:
+            inv = x.invert()
+            _assert_canonical(inv)
+            assert _ref_mul(m, x.coeffs, inv.coeffs) == _ref_reduce(m, (1,))
+    n = m * stretch
+    embedded = a.embed(n)
+    _assert_canonical(embedded)
+    assert embedded.coeffs == _ref_embed(m, n, va)
+    assert (a * b).embed(n) == embedded * b.embed(n)
+    # one value, one form: built another way it is == and hashes alike
+    again = (a + b) - b
+    assert again == a and hash(again) == hash(a)
+    assert (a == b) == (va == vb)
+
+
+def test_equal_values_from_different_inputs():
+    half = CyclotomicNumber(6, [Fraction(2, 4), 0])
+    assert half == CyclotomicNumber.from_rational(Fraction(1, 2), 6)
+    assert hash(half) == hash(CyclotomicNumber.from_rational(Fraction(1, 2), 6))
+    assert half == Fraction(1, 2) and (half.num, half.den) == ((1, 0), 2)
+    zero = CyclotomicNumber(12, [Fraction(0, 5)] * 4)
+    assert zero == CyclotomicNumber.zero(12) == root_of_unity(12, 1) * 0
+    assert hash(zero) == hash(CyclotomicNumber.zero(12))
+    assert (zero.num, zero.den) == ((0, 0, 0, 0), 1)
+    z = root_of_unity(12, 1)
+    third = (z + Fraction(2, 3)) * 3 - z * 3
+    assert third == 2 and third.den == 1 and hash(third) == hash(
+        CyclotomicNumber.from_rational(2, 12))
+    with pytest.raises(TypeError):
+        CyclotomicNumber(2, [0.5])

@@ -230,6 +230,34 @@ def test_coefficient_digit_bound():
     assert parse_germ(print_germ(doc)) == doc
 
 
+def test_constant_factors_bounded_before_they_are_formed():
+    # each factor 7^1000000 has 845099 digits; it is refused before it
+    # is computed, so eight of them cost no more than one
+    factors = "*".join(["7^1000000"] * 8)
+    text = ("matrix { block { size = 1, order = 2, power = 1 } }\n"
+            f"map {{ f1 = L1*x1 + {factors}*x1^3; }}\n")
+    start = time.monotonic()
+    with pytest.raises(GermParseError, match="more than 4300 digits") as exc:
+        parse_germ(text)
+    assert time.monotonic() - start < 1
+    assert (exc.value.line, exc.value.col) == (2, 7)
+    # so is a denominator, and a product of factors that are each in bound
+    for body in ("1/7^1000000", "7^3000*7^3000"):
+        with pytest.raises(GermParseError, match="more than 4300 digits"):
+            parse_germ(text.replace(factors, body))
+    # roots of unity stay bounded under any power, and 2^14000 (4215
+    # digits) is in bound
+    parse_germ(text.replace(factors, "w(2,1)^1000000*2^14000"))
+    # the bound is on what the printer writes, each component in lowest
+    # terms: 1/3^8000 (3817 digits) and 1/5^6000 (4194 digits) print,
+    # though their common denominator has 8011 digits
+    text = ("matrix { block { size = 1, order = 4, power = 1 } }\n"
+            "map { f1 = L1*x1 + 1/3^8000*x1^2 + 1/5^6000*w(4,1)*x1^2; }\n")
+    doc = parse_germ(text)
+    assert doc.gmap.coords[0].coefficient((2,)).den >= 10**4300
+    print_germ(doc)
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(st.text(), token_soup()))
 @example(_canonical_with("L1*x1", "w(0,1)*x1"))

@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -104,6 +105,24 @@ def test_route_agreement_on_fixtures():
             proj = fixed_point_index(doc.matrix, doc.gmap, q)
             direct = direct_iterate_index(doc.gmap, q, hint=proj)
             assert proj == direct, (name, q)
+
+
+def test_direct_check_term_budget_on_known_hang():
+    # without a term budget the direct check composes f^6 for minutes
+    spec = JordanSpec((B(2, 2, 1), B(2, 6, 1)))
+    start = time.monotonic()
+    sp = orbit_spectrum(spec, chain_germ(spec, (2, 3)))
+    assert time.monotonic() - start < 10
+    assert sp.counts == {1: 1, 2: 2, 6: 3}
+    assert sp.checks == {"f37": True, "direct": False}
+    assert sp.route == {1: "both-agree", 2: "both-agree", 6: "projection"}
+    assert sp.unchecked == {6: "direct composition past 2000 terms"}
+
+
+def test_fixtures_pass_the_direct_check_within_budget():
+    for name, doc in load_fixtures():
+        sp = orbit_spectrum(doc.matrix, doc.gmap)
+        assert sp.checks["direct"] is True and not sp.unchecked, name
 
 
 def test_shub_sullivan_on_fixtures():
