@@ -20,8 +20,9 @@ from .jordan import (SequenceTarget, global_order, is_admissible,
                      parse_inline_matrix, period_set)
 from .multiplicity import (DEFAULT_DEGREE_CAP, NotIsolatedWithinBound,
                            multiplicity)
-from .orbits import (ConsistencyError, direct_iterate_index,
-                     fixed_point_index, orbit_spectrum)
+from .orbits import (DIRECT_CHECK_TERM_LIMIT, ConsistencyError,
+                     direct_iterate_index, fixed_point_index, orbit_spectrum)
+from .polynomials import TermBudgetExceeded
 from .resonance import validate_rnf
 from .universality import (is_universal, normalized_target, realize,
                            residue_search)
@@ -131,10 +132,13 @@ def _cmd_index(args) -> int:
         if args.route in ("direct", "both"):
             results["direct"] = direct_iterate_index(
                 doc.gmap, args.q, degree_cap=args.degree_cap,
-                hint=results.get("projection"))
-    except (NotIsolatedWithinBound, ValueError) as exc:
-        rep.say(f"FAIL: {exc}")
-        rep.emit({"ok": False, "reason": str(exc)})
+                hint=results.get("projection"),
+                term_limit=DIRECT_CHECK_TERM_LIMIT)
+    except (NotIsolatedWithinBound, ValueError, TermBudgetExceeded) as exc:
+        reason = (f"direct composition past {DIRECT_CHECK_TERM_LIMIT} terms"
+                  if isinstance(exc, TermBudgetExceeded) else str(exc))
+        rep.say(f"FAIL: {reason}")
+        rep.emit({"ok": False, "reason": reason})
         return 1
     agree = len(set(results.values())) == 1
     value = next(iter(results.values()))

@@ -296,7 +296,7 @@ class _Parser:
             value = Fraction(self.integer(tok.text, tok))
             if self.peek().kind == "/":
                 self.next()
-                den = self.expect_int("denominator", maximum=10**18)
+                den = self.expect_int("denominator", maximum=_DIGIT_LIMIT - 1)
                 if den == 0:
                     self.fail("zero denominator", tok)
                 value /= den

@@ -4,7 +4,9 @@ The certified core computes Q_d = dim K[x]_{<d} / span{ trunc(x^a f_i, d) }
 for d = 1, 2, ... and stops at the first d with Q_d = Q_{d+1}: one repeat
 certifies stabilization (equal nested quotients force m^d into the ideal
 plus m^{d+1}, and Nakayama's lemma then puts m^d inside the ideal in the
-local ring), so the repeated value is the multiplicity.
+local ring), so the repeated value is the multiplicity.  Q_d comes from
+one fraction-free elimination over both coefficient rings, Q and
+Q(zeta_M): rows have integral entries and every pivot lead is an integer.
 
 Exact closed-form reductions run first and hand the engine only small
 residual systems:
@@ -34,7 +36,9 @@ import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 
+from .cyclotomic import CyclotomicNumber
 from .polynomials import GermMap, Poly, grevlex_key
 
 DEFAULT_DEGREE_CAP = 64
@@ -85,8 +89,6 @@ class MultiplicityResult:
 
 def _monomials_of_degree(nvars: int, degree: int):
     """All exponent tuples of the given total degree, grevlex-ascending."""
-    if nvars == 0:
-        return [()] if degree == 0 else []
     out = []
 
     def rec(prefix, remaining, slots):
@@ -103,27 +105,18 @@ def _monomials_of_degree(nvars: int, degree: int):
 
 class _Echelon:
     """Incremental sparse row echelon keyed by monomials, pivot = first
-    nonzero column in grevlex order.
+    nonzero column in grevlex order; a lazy min-heap of column keys tracks
+    the leading term, so fill-in does not force a full scan per step.
 
-    Rows are dicts; a lazy min-heap of column keys tracks the current
-    leading term so dense fill-in does not force a full scan per
-    elimination step.  Elimination is by cross-multiplication,
-    row <- lead(pivot) * row - row[col] * pivot, which serves both rings:
-
-    * over Q, rows hold integers (denominators cleared) and are divided
-      by their content on adoption and every few steps, to keep the
-      integers small (fraction-free, in the manner of Bareiss);
-    * over Q(zeta_M), rows hold CyclotomicNumbers and pivot rows are
-      scaled to lead 1 on adoption, so the update is the field update.
-
-    Rank and pivot columns are scale-invariant, so the counts agree with
-    the rational elimination exactly.
-    """
+    Rows hold integral entries (see _integral_rows) and pivot leads are
+    integers (see _adopt).  Elimination is fraction-free, by
+    row <- lead(pivot) * row - row[col] * pivot, with the row's content
+    divided out on adoption and every few steps (Bareiss).  Rank and pivot
+    columns are scale-invariant, so the counts are those over the field."""
 
     _STRIP_EVERY = 8
 
-    def __init__(self, integral: bool):
-        self.integral = integral
+    def __init__(self):
         self.pivots: dict[tuple, dict] = {}
         self.pivot_degrees = Counter()
 
@@ -131,7 +124,6 @@ class _Echelon:
         """Reduce against current pivots; adopt as a new pivot row when a
         nonzero remainder is left.  Returns the new pivot column or None."""
         pivots = self.pivots
-        integral = self.integral
         heap = [grevlex_key(m) + (m,) for m in row]
         heapq.heapify(heap)
         steps = 0
@@ -141,21 +133,15 @@ class _Echelon:
                 continue  # cancelled earlier (lazy deletion)
             prow = pivots.get(col)
             if prow is None:
-                if integral:
-                    _strip_content(row)
-                else:
-                    inv = row[col].invert()
-                    row = {m: c * inv for m, c in row.items()}
-                pivots[col] = row
+                pivots[col] = _adopt(row, col)
                 self.pivot_degrees[sum(col)] += 1
                 return col
             factor = row.pop(col)
-            if integral:
-                steps += 1
-                lead = prow[col]
-                if lead != 1:
-                    for m in row:
-                        row[m] *= lead
+            steps += 1
+            lead = prow[col]
+            if lead != 1:
+                for m in row:
+                    row[m] *= lead
             for m, c in prow.items():
                 if m == col:
                     continue
@@ -170,7 +156,7 @@ class _Echelon:
                         row[m] = total
                     else:
                         del row[m]
-            if integral and steps % self._STRIP_EVERY == 0:
+            if steps % self._STRIP_EVERY == 0:
                 _strip_content(row)
         return None
 
@@ -178,25 +164,46 @@ class _Echelon:
         return sum(c for d, c in self.pivot_degrees.items() if d < degree)
 
 
-def _strip_content(row: dict) -> None:
-    """Divide an integer row by the gcd of its entries, in place."""
-    g = math.gcd(*row.values())
-    if g > 1:
-        for m in row:
-            row[m] //= g
-
-
-def _echelon_and_rows(coords) -> tuple[_Echelon, list[dict]]:
-    """An empty echelon for the coefficient ring of coords, and the rows
-    of coords in its form: integers with denominators cleared over Q
-    (scaling does not change the span), CyclotomicNumbers otherwise."""
-    if coords[0].modulus != 1:
-        return _Echelon(integral=False), [dict(p.terms) for p in coords]
+def _integral_rows(coords) -> list[dict]:
+    """The rows of coords with denominators cleared: ints over Q, den-1
+    CyclotomicNumbers over Q(zeta_M).  This helper and the two below are
+    all the engine knows of the two rings."""
     rows = []
     for p in coords:
         denom = math.lcm(*(c.den for c in p.terms.values()))
-        rows.append({m: c.num[0] * (denom // c.den) for m, c in p.terms.items()})
-    return _Echelon(integral=True), rows
+        rows.append({m: c.num[0] * (denom // c.den) if p.modulus == 1
+                     else c * denom for m, c in p.terms.items()})
+    return rows
+
+
+def _strip_content(row: dict) -> None:
+    """Divide an integral row by its content, the gcd of all integer
+    coordinates of all its entries, in place."""
+    entry = next(iter(row.values()), 0)
+    if isinstance(entry, int):
+        g = math.gcd(*row.values())
+        if g > 1:
+            for m in row:
+                row[m] //= g
+        return
+    g = math.gcd(*(n for c in row.values() for n in c.num))
+    if g > 1:
+        scale = CyclotomicNumber.from_rational(Fraction(1, g), entry.modulus)
+        for m, c in row.items():
+            row[m] = c * scale
+
+
+def _adopt(row: dict, col) -> dict:
+    """The pivot row made of row: a lead at col that is not rational is
+    multiplied by den * lead^-1, which is integral and turns the lead into
+    the integer den; then the content is stripped."""
+    lead = row[col]
+    if not isinstance(lead, int) and not lead.is_rational():
+        inv = lead.invert()
+        scale = inv * inv.den
+        row = {m: c * scale for m, c in row.items()}
+    _strip_content(row)
+    return row
 
 
 def _shift_terms(terms: dict, alpha) -> dict:
@@ -211,7 +218,7 @@ def _shift_terms(terms: dict, alpha) -> dict:
 def _stabilize(coords, nvars: int, cap: int,
                witness: str | None = None):
     """Run the quotient-dimension engine; return (value, d_star, dims)."""
-    ech, rows = _echelon_and_rows(coords)
+    ech, rows = _Echelon(), _integral_rows(coords)
     dims: list[int] = []
     for d in range(1, cap + 2):
         for alpha in _monomials_of_degree(nvars, d - 1):
@@ -224,27 +231,20 @@ def _stabilize(coords, nvars: int, cap: int,
     raise NotIsolatedWithinBound(cap, witness=witness, definite=False)
 
 
-def _lowest_system(coords):
-    lows = [p.lowest_form() for p in coords]
-    degrees = [m for m, _ in lows]
-    forms = [f for _, f in lows]
-    return degrees, forms
-
-
-def _homogeneous_isolated(forms, degrees, nvars: int, cap: int):
-    """Exact isolation decision for a square homogeneous system.
-
-    Returns True/False, or None when the decision bound exceeds the cap
-    (then nothing is concluded).
-    """
+def _lowest_isolated(coords, nvars: int, cap: int):
+    """(degrees, isolated): the lowest degrees of a square system, and the
+    exact isolation decision for its lowest-degree homogeneous system,
+    True/False, or None when the decision bound exceeds the cap (then
+    nothing is concluded)."""
+    degrees, forms = zip(*(p.lowest_form() for p in coords))
     macaulay = sum(degrees) - nvars + 2
     if macaulay > cap:
-        return None
+        return degrees, None
     try:
         _stabilize(forms, nvars, macaulay)
-        return True
+        return degrees, True
     except NotIsolatedWithinBound:
-        return False
+        return degrees, False
 
 
 class _Context:
@@ -308,9 +308,7 @@ def _mult(coords: list[Poly], ctx: _Context, top: bool) -> int:
 
     # common exponent gcd: divide out, scale by the product
     if any(g >= 2 for g in gcds):
-        factor = 1
-        for g in gcds:
-            factor *= g
+        factor = math.prod(gcds)
         reduced = [
             Poly(nvars, modulus,
                  {tuple(e // g for e, g in zip(m, gcds)): c
@@ -336,8 +334,7 @@ def _mult(coords: list[Poly], ctx: _Context, top: bool) -> int:
 
     # Cronin fast path: product of lowest degrees when the lowest system
     # has 0 as its only common zero
-    degrees, forms = _lowest_system(coords)
-    isolated = _homogeneous_isolated(forms, degrees, nvars, ctx.cap)
+    degrees, isolated = _lowest_isolated(coords, nvars, ctx.cap)
     if isolated:
         return math.prod(degrees)
     cronin_witness = None
@@ -412,10 +409,9 @@ def cronin(f: GermMap, degree_cap: int = DEFAULT_DEGREE_CAP) -> int | None:
             raise ValueError(
                 f"coordinate {j + 1} is identically zero; the origin is not "
                 f"an isolated zero")
-    degrees, forms = _lowest_system(list(f.coords))
     if f.nvars == 0:
         return 1
-    isolated = _homogeneous_isolated(forms, degrees, f.nvars, degree_cap)
+    degrees, isolated = _lowest_isolated(f.coords, f.nvars, degree_cap)
     return math.prod(degrees) if isolated else None
 
 
@@ -427,7 +423,7 @@ def truncated_quotient_dim(f: GermMap, d: int) -> int:
     nvars = f.nvars
     if nvars == 0:
         return 1
-    ech, rows = _echelon_and_rows(f.coords)
+    ech, rows = _Echelon(), _integral_rows(f.coords)
     for deg in range(d):
         for alpha in _monomials_of_degree(nvars, deg):
             for terms in rows:

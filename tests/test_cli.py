@@ -117,6 +117,20 @@ def test_index_both_routes(capsys, worked):
     assert code == 0 and out.strip() == "3"
 
 
+def test_index_direct_route_has_the_term_budget(capsys, tmp_path):
+    # the projection route gives 12 at once; composing f^6 runs past the
+    # direct check's budget, which is a typed failure, not a traceback
+    path = tmp_path / "hang.germ"
+    path.write_text(KNOWN_HANG)
+    start = time.monotonic()
+    code, out, _ = run(capsys, "--json", "--no-timing", "index", str(path),
+                       "--q", "6", "--route", "both")
+    assert time.monotonic() - start < 10
+    assert code == 1
+    assert json.loads(out)["results"] == {
+        "ok": False, "reason": "direct composition past 2000 terms"}
+
+
 def test_spectrum_json_schema(capsys, worked):
     code, out, _ = run(capsys, "--json", "--no-timing", "spectrum", worked)
     assert code == 0

@@ -1,10 +1,12 @@
+import importlib
+import math
 from fractions import Fraction
 
 import pytest
 import sympy
 
 from orbitdex import (GermMap, NotIsolatedWithinBound, Poly, multiplicity,
-                      root_of_unity, variables)
+                      parse_germ, root_of_unity, variables)
 from orbitdex.multiplicity import cronin, truncated_quotient_dim
 from conftest import random_isolated_system, random_poly
 
@@ -286,8 +288,8 @@ def _engine_systems():
 
 @pytest.mark.parametrize("modulus", [3, 4, 6, 12])
 def test_engine_certificate_over_cyclotomic_fields(modulus):
-    """Over Q the engine eliminates integer rows; over Q(zeta_M) it
-    eliminates CyclotomicNumber rows.  The same system embedded in
+    """The engine eliminates integral rows over both rings: ints over Q,
+    CyclotomicNumbers with den 1 over Q(zeta_M).  The same system embedded in
     Q(zeta_M), or with its coordinates scaled by powers of zeta_M (a
     unit, so the same row spans), gets the same certificate."""
     z = root_of_unity(modulus, 1, modulus)
@@ -300,3 +302,70 @@ def test_engine_certificate_over_cyclotomic_fields(modulus):
             got = multiplicity(g)
             assert (got.value, got.stabilized_at, got.quotient_dims) == \
                 (over_q.value, over_q.stabilized_at, over_q.quotient_dims)
+
+
+# The benchmark's (5, 4) system over Q(zeta_12), seed 7919: no closed-form
+# reduction applies, and the engine adopts pivot rows whose leads are
+# neither rational nor units.
+NON_RATIONAL_LEADS = """\
+matrix {
+  block { size = 1, order = 12, power = 1 }
+  block { size = 1, order = 1, power = 1 }
+}
+map {
+  f1 = -2*w(12,1)*x2^4 + x1^5 + 5*w(12,1)*x1^4*x2 +
+      10*w(12,1)^2*x1^3*x2^2 + 10*w(12,1)^3*x1^2*x2^3 - 5*x1*x2^4 +
+      5*w(12,1)^2*x1*x2^4 + w(12,1)*x2^5 + w(12,1)^3*x2^5 - w(12,1)*x1^6
+      - 6*w(12,1)^2*x1^5*x2 - 15*w(12,1)^3*x1^4*x2^2 + 20*x1^3*x2^3 -
+      20*w(12,1)^2*x1^3*x2^3 + 15*w(12,1)*x1^2*x2^4 -
+      15*w(12,1)^3*x1^2*x2^4 + 6*x1*x2^5 + w(12,1)*x2^6;
+  f2 = x2^4 + 6*w(12,1)^2*x2^4 - 3*w(12,1)*x1^5 - 15*w(12,1)^2*x1^4*x2 -
+      30*w(12,1)^3*x1^3*x2^2 + 30*x1^2*x2^3 - 30*w(12,1)^2*x1^2*x2^3 +
+      13*w(12,1)*x1*x2^4 - 15*w(12,1)^3*x1*x2^4 + 3*x2^5 -
+      2*w(12,1)^2*x2^5 - 2*w(12,1)*x1^5*x2 - 10*w(12,1)^2*x1^4*x2^2 -
+      20*w(12,1)^3*x1^3*x2^3 + 20*x1^2*x2^4 - 20*w(12,1)^2*x1^2*x2^4 +
+      10*w(12,1)*x1*x2^5 - 10*w(12,1)^3*x1*x2^5 + 2*x2^6;
+}
+"""
+
+
+def test_engine_certificate_with_non_rational_pivot_leads():
+    got = multiplicity(parse_germ(NON_RATIONAL_LEADS).gmap)
+    assert (got.value, got.stabilized_at, got.quotient_dims) == \
+        (20, 8, (1, 3, 6, 10, 14, 17, 19, 20, 20))
+
+
+def test_engine_pivot_rows_are_integral_with_integer_leads(monkeypatch):
+    """Every pivot row has integral entries and content 1, and its lead is
+    an integer, over Q and over Q(zeta_M) alike.  A pivot row is never
+    changed once adopted, so each is checked as it is adopted."""
+    engine = importlib.import_module("orbitdex.multiplicity")
+    leads = []
+
+    class Checked(engine._Echelon):
+        def insert(self, row):
+            col = super().insert(row)
+            if col is not None:
+                pivot, coords = self.pivots[col], []
+                for c in pivot.values():
+                    if isinstance(c, int):
+                        coords.append(c)
+                    else:
+                        assert c.den == 1
+                        coords.extend(c.num)
+                assert math.gcd(*coords) == 1
+                assert isinstance(pivot[col], int) or pivot[col].is_rational()
+            return col
+
+    adopt = engine._adopt
+
+    def recording_adopt(row, col):
+        leads.append(row[col])
+        return adopt(row, col)
+
+    monkeypatch.setattr(engine, "_Echelon", Checked)
+    monkeypatch.setattr(engine, "_adopt", recording_adopt)
+    f = _engine_systems()[0]
+    for g in (f, f.embed(4), parse_germ(NON_RATIONAL_LEADS).gmap):
+        multiplicity(g)
+    assert any(not isinstance(c, int) and not c.is_rational() for c in leads)
