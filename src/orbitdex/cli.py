@@ -23,7 +23,7 @@ from .multiplicity import (DEFAULT_DEGREE_CAP, NotIsolatedWithinBound,
 from .orbits import (DIRECT_CHECK_TERM_LIMIT, ConsistencyError,
                      direct_iterate_index, fixed_point_index, orbit_spectrum)
 from .polynomials import TermBudgetExceeded
-from .resonance import validate_rnf
+from .resonance import strip_eigenvalues, validate_rnf
 from .universality import (is_universal, normalized_target, realize,
                            residue_search)
 
@@ -87,9 +87,11 @@ def _cmd_check(args) -> int:
         rep.say(f"FAIL: {verdict.describe()}")
         rep.emit({"ok": False, "reason": verdict.describe()})
         return 1
+    # at q = M the mask selects every coordinate, so the full-period
+    # order is that of the whole stripped map
     try:
-        full = fixed_point_index(doc.matrix, doc.gmap,
-                                 global_order(doc.matrix), args.degree_cap)
+        full = multiplicity(strip_eigenvalues(doc.matrix, doc.gmap),
+                            args.degree_cap).value
     except NotIsolatedWithinBound as exc:
         rep.say(f"FAIL: iterate fixed points are not isolated: {exc}")
         rep.emit({"ok": False, "reason": str(exc)})
@@ -132,8 +134,7 @@ def _cmd_index(args) -> int:
         if args.route in ("direct", "both"):
             results["direct"] = direct_iterate_index(
                 doc.gmap, args.q, degree_cap=args.degree_cap,
-                hint=results.get("projection"),
-                term_limit=DIRECT_CHECK_TERM_LIMIT)
+                hint=results.get("projection"))
     except (NotIsolatedWithinBound, ValueError, TermBudgetExceeded) as exc:
         reason = (f"direct composition past {DIRECT_CHECK_TERM_LIMIT} terms"
                   if isinstance(exc, TermBudgetExceeded) else str(exc))
@@ -288,11 +289,7 @@ def _cmd_paper_suite(args) -> int:
                 "counts": {str(q): v for q, v in sorted(sp.counts.items())},
                 "mu": {str(q): v for q, v in sorted(sp.mu.items())},
             }
-            if args.bless:
-                expected_path.write_text(
-                    json.dumps(got, indent=2, sort_keys=True) + "\n")
-                status = "blessed"
-            elif not expected_path.exists():
+            if not expected_path.exists():
                 status = "MISSING EXPECTATION"
                 failures.append(name)
             else:
@@ -393,8 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run the bundled regression fixtures against "
                             "their expected spectra")
     p.add_argument("--filter", default=None)
-    p.add_argument("--bless", action="store_true",
-                   help="rewrite the expected files from current output")
     p.add_argument("--fixtures-dir", default=None)
     p.set_defaults(func=_cmd_paper_suite)
     return parser

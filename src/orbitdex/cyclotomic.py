@@ -327,18 +327,6 @@ class CyclotomicNumber:
         inv = [c * scale for c in s0] + [_ZERO] * (phi - len(s0))
         return CyclotomicNumber(self.modulus, inv[:phi])
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.invert()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self.invert()
-
     def __pow__(self, n: int) -> CyclotomicNumber:
         if not isinstance(n, int):
             return NotImplemented

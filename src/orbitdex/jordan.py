@@ -129,13 +129,12 @@ class CoordMask:
 
 def period_set(spec: JordanSpec) -> set[int]:
     """All periods of nonzero periodic points of the linear map: the lcms
-    of the orders over nonempty block subsets."""
+    of the orders over nonempty block subsets.  Built one order at a time
+    as a closure under lcm, so the work grows with the block count times
+    the number of periods, not with the 2^m subsets."""
     out: set[int] = set()
-    orders = spec.orders()
-    m = len(orders)
-    for mask in range(1, 1 << m):
-        sel = [orders[j] for j in range(m) if mask >> j & 1]
-        out.add(reduce(math.lcm, sel))
+    for d in spec.orders():
+        out |= {math.lcm(p, d) for p in out} | {d}
     return out
 
 
@@ -173,9 +172,6 @@ class SequenceTarget:
     def as_dict(self) -> dict[int, int]:
         return dict(self.entries)
 
-    def __getitem__(self, q: int) -> int:
-        return self.as_dict().get(q, 0)
-
     @staticmethod
     def parse(text: str) -> SequenceTarget:
         """Parse "1:1,2:2,6:3" into a target."""
@@ -195,9 +191,6 @@ class SequenceTarget:
 class AdmissibilityVerdict:
     ok: bool
     reason: str | None = None
-
-    def __bool__(self):
-        return self.ok
 
 
 def is_admissible(spec: JordanSpec, target: SequenceTarget) -> AdmissibilityVerdict:
@@ -253,6 +246,3 @@ def parse_inline_matrix(text: str) -> JordanSpec:
         raise ValueError("inline matrix has no blocks")
     return JordanSpec(tuple(blocks))
 
-
-def format_inline_matrix(spec: JordanSpec) -> str:
-    return "[" + ";".join(f"({b.size},{b.order},{b.power})" for b in spec.blocks) + "]"

@@ -83,9 +83,6 @@ class MultiplicityResult:
     stabilized_at: int | None = None
     quotient_dims: tuple[int, ...] = ()
 
-    def __int__(self):
-        return self.value
-
 
 def _monomials_of_degree(nvars: int, degree: int):
     """All exponent tuples of the given total degree, grevlex-ascending."""
@@ -398,35 +395,3 @@ def multiplicity(f: GermMap, degree_cap: int = DEFAULT_DEGREE_CAP) -> Multiplici
                                   stabilized_at=d_star, quotient_dims=dims)
     return MultiplicityResult(value, fast_path=not ctx.engine_used)
 
-
-def cronin(f: GermMap, degree_cap: int = DEFAULT_DEGREE_CAP) -> int | None:
-    """Product of the lowest degrees when the lowest-degree homogeneous
-    system has only the trivial zero; None when it does not (the order is
-    then strictly larger) or when the decision exceeds the cap."""
-    _check_square(f)
-    for j, p in enumerate(f.coords):
-        if p.is_zero():
-            raise ValueError(
-                f"coordinate {j + 1} is identically zero; the origin is not "
-                f"an isolated zero")
-    if f.nvars == 0:
-        return 1
-    degrees, isolated = _lowest_isolated(f.coords, f.nvars, degree_cap)
-    return math.prod(degrees) if isolated else None
-
-
-def truncated_quotient_dim(f: GermMap, d: int) -> int:
-    """dim K[x]_{<d} modulo span{ trunc(x^a f_i, d) : |a| < d }."""
-    _check_square(f)
-    if d < 1:
-        raise ValueError("truncation degree must be >= 1")
-    nvars = f.nvars
-    if nvars == 0:
-        return 1
-    ech, rows = _Echelon(), _integral_rows(f.coords)
-    for deg in range(d):
-        for alpha in _monomials_of_degree(nvars, deg):
-            for terms in rows:
-                ech.insert({m: c for m, c in _shift_terms(terms, alpha).items()
-                            if sum(m) < d})
-    return math.comb(d - 1 + nvars, nvars) - ech.pivots_below(d)

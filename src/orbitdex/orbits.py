@@ -28,7 +28,7 @@ from typing import Callable
 from .jordan import JordanSpec, period_mask, period_set
 from .multiplicity import (DEFAULT_DEGREE_CAP, NotIsolatedWithinBound,
                            multiplicity)
-from .polynomials import DEFAULT_TERM_LIMIT, GermMap, TermBudgetExceeded
+from .polynomials import GermMap, TermBudgetExceeded
 from .resonance import project, strip_eigenvalues, validate_rnf
 
 
@@ -60,19 +60,20 @@ def prime_factors(q: int) -> list[int]:
 
 
 def direct_iterate_index(f: GermMap, q: int, degree_cap: int = DEFAULT_DEGREE_CAP,
-                         hint: int | None = None,
-                         term_limit: int = DEFAULT_TERM_LIMIT) -> int:
+                         hint: int | None = None) -> int:
     """Zero order of f^q - id by explicit composition.
 
     The composition is truncated at a degree D and retried with doubled D
     until the computed order is < D; a germ whose low jet matches f^q - id
     up to its own order has the same order, so the result is exact.  A
-    product of more than term_limit terms raises TermBudgetExceeded.
+    product of more than DIRECT_CHECK_TERM_LIMIT terms raises
+    TermBudgetExceeded; the multiplicity computed after the composition
+    has no such budget.
     """
     start = max(4, hint + 2 if hint is not None else 8)
     trunc = start
     while trunc <= max(degree_cap * 4, start):
-        g = f.iterate(q, trunc=trunc, term_limit=term_limit)
+        g = f.iterate(q, trunc=trunc, term_limit=DIRECT_CHECK_TERM_LIMIT)
         try:
             value = multiplicity(g.minus_identity(), degree_cap=trunc).value
         except NotIsolatedWithinBound as exc:
@@ -168,7 +169,6 @@ class OrbitSpectrum:
     mu: dict[int, int]          # q -> index of the q-th iterate
     dold: dict[int, int]        # q -> Dold index
     counts: dict[int, int]      # q -> hidden orbit count, q in PE + {1}
-    route: dict[int, str] = field(default_factory=dict)
     checks: dict[str, bool] = field(default_factory=dict)
     unchecked: dict[int, str] = field(default_factory=dict)  # q -> why
 
@@ -186,14 +186,12 @@ def orbit_spectrum(spec: JordanSpec, f: GermMap, cross_check: bool = True,
     mu: dict[int, int] = {}
     dold: dict[int, int] = {}
     counts: dict[int, int] = {}
-    route: dict[int, str] = {}
     for q in qs:
         dold[q] = _dold(index, q, mu)
         if dold[q] % q:
             raise ConsistencyError(
                 f"Dold index {dold[q]} for q={q} is not divisible by q")
         counts[q] = dold[q] // q
-        route[q] = "projection"
     checks: dict[str, bool] = {}
     unchecked: dict[int, str] = {}
     if cross_check:
@@ -208,9 +206,7 @@ def orbit_spectrum(spec: JordanSpec, f: GermMap, cross_check: bool = True,
             if q > DIRECT_CHECK_MAX_Q:
                 continue
             try:
-                direct = direct_iterate_index(
-                    f, q, degree_cap, hint=mu[q],
-                    term_limit=DIRECT_CHECK_TERM_LIMIT)
+                direct = direct_iterate_index(f, q, degree_cap, hint=mu[q])
             except TermBudgetExceeded:
                 unchecked[q] = (f"direct composition past "
                                 f"{DIRECT_CHECK_TERM_LIMIT} terms")
@@ -219,7 +215,5 @@ def orbit_spectrum(spec: JordanSpec, f: GermMap, cross_check: bool = True,
                 raise ConsistencyError(
                     f"direct route gives {direct} for q={q}, projection "
                     f"gives {mu[q]}")
-            route[q] = "both-agree"
         checks["direct"] = not unchecked
-    return OrbitSpectrum(spec, tuple(pe), mu, dold, counts, route, checks,
-                         unchecked)
+    return OrbitSpectrum(spec, tuple(pe), mu, dold, counts, checks, unchecked)

@@ -99,10 +99,6 @@ class Poly:
     def coefficient(self, mono) -> CyclotomicNumber:
         return self.terms.get(tuple(mono), CyclotomicNumber.zero(self.modulus))
 
-    def total_degree(self) -> int:
-        """Degree of the highest term; -1 for the zero polynomial."""
-        return max((sum(m) for m in self.terms), default=-1)
-
     def lowest_degree(self) -> int:
         return min((sum(m) for m in self.terms), default=-1)
 
@@ -219,20 +215,6 @@ class Poly:
         """Drop all terms of total degree >= degree."""
         return self._wrap(
             {m: c for m, c in self.terms.items() if sum(m) < degree}
-        )
-
-    def substitute_powers(self, powers) -> Poly:
-        """x_j -> x_j^(powers[j]); term count is preserved."""
-        powers = tuple(powers)
-        if len(powers) != self.nvars:
-            raise ValueError("powers length must equal nvars")
-        if any(p < 1 for p in powers):
-            raise ValueError("substitution powers must be positive")
-        return self._wrap(
-            {
-                tuple(e * p for e, p in zip(m, powers)): c
-                for m, c in self.terms.items()
-            }
         )
 
     def lowest_form(self) -> tuple[int, Poly]:
@@ -461,9 +443,6 @@ class GermMap:
             return self
         return GermMap([p.embed(modulus) for p in self.coords],
                        nvars=self.nvars, modulus=modulus)
-
-    def max_degree(self) -> int:
-        return max((p.total_degree() for p in self.coords), default=0)
 
     def __eq__(self, other):
         if not isinstance(other, GermMap):

@@ -60,9 +60,6 @@ class NormalFormVerdict:
     linear_mismatch: tuple[tuple[int, int], ...] = ()
     nonresonant: tuple[tuple[int, tuple[int, ...]], ...] = ()
 
-    def __bool__(self):
-        return self.ok
-
     def describe(self) -> str:
         if self.ok:
             return "resonant polynomial normal form"

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .germfile import GermDocument
-from .jordan import (MAX_MODULUS, JordanSpec, SequenceTarget, global_order,
-                     is_admissible, period_set)
+from .jordan import (MAX_EXPONENT, MAX_MODULUS, JordanSpec, SequenceTarget,
+                     global_order, is_admissible, period_set)
 from .multiplicity import DEFAULT_DEGREE_CAP
 from .orbits import ConsistencyError, orbit_spectrum
 from .polynomials import GermMap, Poly
@@ -51,9 +51,6 @@ class UniversalityVerdict:
     mode: str  # "chain" | "chain-plus-coprime-block" | "none"
     ordering: tuple[int, ...] | None = None
     failure_reason: str | None = None
-
-    def __bool__(self):
-        return self.universal
 
 
 def _chain_ordering(indices, blocks) -> tuple[int, ...] | None:
@@ -306,14 +303,15 @@ def realize(spec: JordanSpec, target: SequenceTarget,
     """Construct a germ with the given linear part whose hidden-orbit
     counts equal the target, verifying the spectrum before returning.
 
-    The matrix must be universal and the target admissible.
+    The matrix must be universal and the target admissible, and no
+    exponent of the germ may exceed MAX_EXPONENT (the parser's bound).
     """
     modulus = global_order(spec)
     if modulus > MAX_MODULUS:
         raise ValueError(f"matrix order {modulus} exceeds the supported "
                          f"bound {MAX_MODULUS}")
     admissible = is_admissible(spec, target)
-    if not admissible:
+    if not admissible.ok:
         raise ValueError(f"target is not admissible: {admissible.reason}")
     verdict = is_universal(spec)
     if not verdict.universal:
@@ -342,6 +340,11 @@ def realize(spec: JordanSpec, target: SequenceTarget,
                 cross.append(want[d[t] * d[m - 1]])
         germ = chain_coprime_germ(ordered_spec, params, cross)
     germ = _permute_germ(germ, spec, ordered_spec, ordering)
+    # refuse a germ the parser would refuse to read back
+    top = max(e for p in germ.coords for m in p.terms for e in m)
+    if top > MAX_EXPONENT:
+        raise ValueError(f"the constructed germ needs exponent {top}, which "
+                         f"exceeds the supported bound {MAX_EXPONENT}")
 
     check = validate_rnf(spec, germ)
     if not check.ok:

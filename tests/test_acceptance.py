@@ -15,16 +15,18 @@ from fractions import Fraction
 import pytest
 
 from orbitdex import (GermMap, GermParseError, JordanBlock, JordanSpec,
-                      NotIsolatedWithinBound, Poly, ResonanceContext,
-                      SequenceTarget, chain_coprime_germ, chain_germ,
+                      NotIsolatedWithinBound, Poly, SequenceTarget,
                       direct_iterate_index, fixed_point_index, global_order,
-                      is_admissible, is_resonant_monomial, is_universal,
-                      multiplicity, orbit_spectrum, parse_germ, period_set,
-                      print_germ, realize, residue_search, root_of_unity,
-                      unit_spectrum_germ, variables)
-from orbitdex.multiplicity import cronin
-from orbitdex.universality import normalized_target
-from conftest import load_fixtures, random_isolated_system, random_poly
+                      is_admissible, is_universal, multiplicity,
+                      orbit_spectrum, parse_germ, period_set, print_germ,
+                      realize, residue_search)
+from orbitdex.cyclotomic import root_of_unity
+from orbitdex.polynomials import variables
+from orbitdex.resonance import ResonanceContext, is_resonant_monomial
+from orbitdex.universality import (chain_coprime_germ, chain_germ,
+                                   normalized_target, unit_spectrum_germ)
+from conftest import (cronin, load_fixtures, random_isolated_system,
+                      random_poly)
 
 B = JordanBlock
 

@@ -1,11 +1,13 @@
 import json
 import shutil
+import signal
 import subprocess
 import sys
 import time
 
 import pytest
 
+from orbitdex import parse_germ, resonance
 from orbitdex.cli import main
 from conftest import fixture_dir
 
@@ -70,6 +72,23 @@ def run(capsys, *argv):
 def test_check_ok(capsys, worked):
     code, out, _ = run(capsys, "check", worked)
     assert code == 0 and "OK" in out
+
+
+def test_check_validates_the_normal_form_once(capsys, worked, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    original = resonance.validate_rnf
+    for module in list(sys.modules.values()):
+        if (module.__name__.startswith("orbitdex")
+                and getattr(module, "validate_rnf", None) is original):
+            monkeypatch.setattr(module, "validate_rnf", counted)
+    code, out, _ = run(capsys, "check", worked)
+    assert code == 0 and "full-period order 12" in out
+    assert len(calls) == 1
 
 
 def test_check_reports_non_resonant_term(capsys, tmp_path):
@@ -174,6 +193,27 @@ def test_matrix_commands(capsys):
     assert code == 0 and "not universal" in out
 
 
+def test_matrix_pe_is_polynomial_in_the_block_count(capsys):
+    # a loop over all 2^64 block subsets would never finish; the alarm
+    # turns that into a failure instead of a hang
+    blocks = ";".join(["(1,2,1)", "(1,3,1)", "(1,4,1)", "(1,6,1)"] * 16)
+
+    def too_slow(signum, frame):
+        raise TimeoutError("matrix pe on 64 blocks took over 5 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(5)
+    try:
+        start = time.monotonic()
+        code, out, _ = run(capsys, "matrix", "pe", f"[{blocks}]")
+        elapsed = time.monotonic() - start
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 0 and out.split() == ["2", "3", "4", "6", "12"]
+    assert elapsed < 1
+
+
 def test_admissible_command(capsys):
     code, out, _ = run(capsys, "admissible", "[(1,2,1);(1,3,1)]",
                        "--seq", "1:1,2:1,3:1,6:1")
@@ -208,6 +248,33 @@ def test_realize_matrix_order_bound(capsys):
     code, out, _ = run(capsys, "realize", "[(1,2,1);(1,2049,1)]",
                        "--seq", "2:1,2049:1,4098:1")
     assert code == 1 and "exceeds the supported bound 2048" in out
+
+
+@pytest.mark.parametrize("matrix, seq, exponent", [
+    ("[(1,2,1)]", "1:1,2:600000", 1200001),
+    ("[(1,2,1);(1,3,1)]", "1:1,2:1000,3:1000,6:1", 2000000),
+])
+def test_realize_refuses_an_exponent_the_parser_refuses(
+        capsys, tmp_path, matrix, seq, exponent):
+    out_path = tmp_path / "g.germ"
+    code, out, _ = run(capsys, "--json", "--no-timing", "realize", matrix,
+                       "--seq", seq, "-o", str(out_path))
+    assert code == 1 and not out_path.exists()
+    assert json.loads(out)["results"] == {
+        "ok": False,
+        "reason": f"the constructed germ needs exponent {exponent}, which "
+                  f"exceeds the supported bound 1000000"}
+
+
+def test_realize_at_the_exponent_bound_parses_back(capsys, tmp_path):
+    out_path = tmp_path / "g.germ"
+    code, _, _ = run(capsys, "realize", "[(1,2,1)]", "--seq", "1:1,2:499999",
+                     "-o", str(out_path))
+    assert code == 0
+    doc = parse_germ(out_path.read_text())
+    assert doc.gmap.coords[0].terms.keys() == {(1,), (999999,)}
+    code, out, _ = run(capsys, "check", str(out_path))
+    assert code == 0 and "full-period order 999999" in out
 
 
 def test_lemma42_command(capsys):
@@ -253,20 +320,6 @@ def test_paper_suite_detects_corruption(capsys, tmp_path):
     code, out, _ = run(capsys, "paper-suite", "--fixtures-dir", str(work))
     assert code == 1
     assert "flip_cubic" in out and "FAIL" in out
-
-
-def test_paper_suite_bless(capsys, tmp_path):
-    work = tmp_path / "fixtures"
-    shutil.copytree(fixture_dir(), work)
-    target = work / "flip_cubic.expected.json"
-    payload = json.loads(target.read_text())
-    payload["counts"]["2"] = 99
-    target.write_text(json.dumps(payload))
-    code, out, _ = run(capsys, "paper-suite", "--fixtures-dir", str(work),
-                       "--bless")
-    assert code == 0
-    code, out, _ = run(capsys, "paper-suite", "--fixtures-dir", str(work))
-    assert code == 0
 
 
 def test_console_script_entry_point():

@@ -6,7 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbitdex import (GermDocument, GermMap, GermParseError, JordanBlock,
-                      JordanSpec, Poly, parse_germ, print_germ, root_of_unity)
+                      JordanSpec, Poly, parse_germ, print_germ)
+from orbitdex.cyclotomic import root_of_unity
 from conftest import load_fixtures
 
 CANONICAL = """\

@@ -1,3 +1,4 @@
+import itertools
 import math
 from functools import reduce
 
@@ -5,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitdex import (JordanBlock, JordanSpec, SequenceTarget,
-                      format_inline_matrix, global_order, is_admissible,
-                      parse_inline_matrix, period_mask, period_set)
+from orbitdex import (JordanBlock, JordanSpec, SequenceTarget, global_order,
+                      is_admissible, parse_inline_matrix, period_set)
+from orbitdex.jordan import period_mask
 
 B = JordanBlock
 
@@ -99,9 +100,8 @@ def test_order_leq_examples():
 
 
 def test_inline_matrix_round_trip():
-    text = "[(1,2,1);(2,6,5)]"
-    spec = parse_inline_matrix(text)
-    assert format_inline_matrix(spec) == text
+    assert parse_inline_matrix(" [(1,2,1); (2,6,5)] ") == \
+        JordanSpec((B(1, 2, 1), B(2, 6, 5)))
     with pytest.raises(ValueError):
         parse_inline_matrix("[(1,2)]")
     with pytest.raises(ValueError):
@@ -134,6 +134,17 @@ def test_period_set_closed_under_lcm_and_max(spec):
     for a in pe:
         for b in pe:
             assert math.lcm(a, b) in pe
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15]),
+                min_size=1, max_size=8))
+def test_period_set_matches_the_subset_enumeration(orders):
+    spec = JordanSpec(tuple(B(1, d, 1) for d in orders))
+    brute = {reduce(math.lcm, subset)
+             for t in range(1, len(orders) + 1)
+             for subset in itertools.combinations(orders, t)}
+    assert period_set(spec) == brute
 
 
 @settings(max_examples=60, deadline=None)

@@ -6,9 +6,11 @@ import pytest
 import sympy
 
 from orbitdex import (GermMap, NotIsolatedWithinBound, Poly, multiplicity,
-                      parse_germ, root_of_unity, variables)
-from orbitdex.multiplicity import cronin, truncated_quotient_dim
-from conftest import random_isolated_system, random_poly
+                      parse_germ)
+from orbitdex.cyclotomic import root_of_unity
+from orbitdex.polynomials import variables
+from conftest import (cronin, random_isolated_system, random_poly,
+                      truncated_quotient_dim)
 
 
 def system(*coords):
@@ -189,8 +191,9 @@ def test_substitution_scaling(rng):
     for _ in range(8):
         f, value = random_isolated_system(rng, 2, max_degree=3)
         powers = (rng.randint(1, 3), rng.randint(1, 3))
-        scaled = GermMap([p.substitute_powers(powers) for p in f.coords],
-                         nvars=2)
+        scaled = GermMap([Poly(2, p.modulus, {
+            tuple(e * b for e, b in zip(m, powers)): c
+            for m, c in p.terms.items()}) for p in f.coords], nvars=2)
         assert multiplicity(scaled).value == value * powers[0] * powers[1]
 
 

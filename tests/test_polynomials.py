@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitdex import GermMap, Poly, root_of_unity, variables
-from orbitdex.polynomials import TermBudgetExceeded, grevlex_key
+from orbitdex import GermMap, Poly
+from orbitdex.cyclotomic import root_of_unity
+from orbitdex.polynomials import TermBudgetExceeded, grevlex_key, variables
 
 
 def test_arith_examples():
@@ -48,14 +49,6 @@ def test_linear_iterate():
     f = GermMap([z3 * x1])
     assert f.iterate(3).coords[0] == x1
     assert f.iterate(2).coords[0] == z3**2 * x1
-
-
-def test_substitute_powers():
-    x1, x2 = variables(2)
-    assert (x1 * x2**3).substitute_powers((2, 1)) == x1**2 * x2**3
-    p = 2 * x1**2 + x2 - x1 * x2
-    assert p.substitute_powers((1, 1)) == p
-    assert (x1**2 + x2**3).substitute_powers((3, 2)) == x1**6 + x2**6
 
 
 def test_truncate():
@@ -141,16 +134,6 @@ def test_compose_linear_part_is_matrix_product(f, g):
                     start=Poly.zero(1).constant_term())
                 for j in range(n)] for i in range(n)]
     assert f.compose(g).linear_part() == product
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.tuples(st.integers(1, 3), st.integers(1, 3)),
-       st.tuples(st.integers(1, 3), st.integers(1, 3)))
-def test_substitute_powers_composes(a, b):
-    x1, x2 = variables(2)
-    p = x1**2 * x2 + 3 * x2**4 - x1
-    ab = tuple(i * j for i, j in zip(a, b))
-    assert p.substitute_powers(a).substitute_powers(b) == p.substitute_powers(ab)
 
 
 @settings(max_examples=30, deadline=None)

@@ -2,10 +2,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitdex import (CoordMask, GermMap, JordanBlock, JordanSpec, Poly,
-                      ResonanceContext, divide_by_leads, find_essential_blocks,
-                      global_order, is_resonant_monomial, parse_germ, project,
-                      root_of_unity, strip_eigenvalues, validate_rnf, variables)
+from orbitdex import (GermMap, JordanBlock, JordanSpec, Poly, global_order,
+                      parse_germ, validate_rnf)
+from orbitdex.cyclotomic import root_of_unity
+from orbitdex.jordan import CoordMask
+from orbitdex.polynomials import variables
+from orbitdex.resonance import (ResonanceContext, divide_by_leads,
+                                find_essential_blocks, is_resonant_monomial,
+                                project, strip_eigenvalues)
 
 B = JordanBlock
 

@@ -4,11 +4,10 @@ import time
 
 import pytest
 
-from orbitdex import (JordanBlock, JordanSpec, SequenceTarget, chain_check,
-                      chain_coprime_germ, chain_germ, is_universal,
-                      orbit_spectrum, realize, residue_search,
-                      unit_spectrum_germ, validate_rnf)
-from orbitdex.universality import normalized_target
+from orbitdex import (JordanBlock, JordanSpec, SequenceTarget, is_universal,
+                      orbit_spectrum, realize, residue_search, validate_rnf)
+from orbitdex.universality import (chain_check, chain_coprime_germ, chain_germ,
+                                   normalized_target, unit_spectrum_germ)
 
 B = JordanBlock
 
