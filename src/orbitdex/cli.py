@@ -16,7 +16,7 @@ import time
 from pathlib import Path
 
 from .germfile import GermDocument, GermParseError, parse_germ, print_germ
-from .jordan import (SequenceTarget, global_order, is_admissible,
+from .jordan import (SequenceTarget, bounded_order, is_admissible,
                      parse_inline_matrix, period_set)
 from .multiplicity import (DEFAULT_DEGREE_CAP, NotIsolatedWithinBound,
                            multiplicity)
@@ -168,6 +168,10 @@ def _cmd_spectrum(args) -> int:
         "dold": dict(sp.dold),
         "counts": dict(sp.counts),
     }
+    if sp.checked_by:
+        rep.say("checked by: " + " ".join(
+            f"{q}:{route}" for q, route in sorted(sp.checked_by.items())))
+        results["checked_by"] = dict(sp.checked_by)
     if sp.unchecked:
         rep.say("unchecked: " + "; ".join(
             f"q={q} ({why})" for q, why in sorted(sp.unchecked.items())))
@@ -179,14 +183,15 @@ def _cmd_spectrum(args) -> int:
 def _cmd_matrix(args) -> int:
     rep = _Reporter(args, f"matrix {args.what}")
     spec = parse_inline_matrix(args.matrix)
+    order = bounded_order(spec)
     if args.what == "pe":
         pe = sorted(period_set(spec))
         rep.say(" ".join(str(q) for q in pe))
         rep.emit({"pe": pe})
         return 0
     if args.what == "order":
-        rep.say(str(global_order(spec)))
-        rep.emit({"order": global_order(spec)})
+        rep.say(str(order))
+        rep.emit({"order": order})
         return 0
     verdict = is_universal(spec)
     if verdict.universal:
@@ -206,6 +211,7 @@ def _cmd_matrix(args) -> int:
 def _cmd_admissible(args) -> int:
     rep = _Reporter(args, "admissible")
     spec = parse_inline_matrix(args.matrix)
+    bounded_order(spec)
     target = SequenceTarget.parse(args.seq)
     verdict = is_admissible(spec, target)
     rep.say("admissible" if verdict.ok else f"not admissible: {verdict.reason}")

@@ -143,6 +143,15 @@ def global_order(spec: JordanSpec) -> int:
     return reduce(math.lcm, spec.orders())
 
 
+def bounded_order(spec: JordanSpec) -> int:
+    """The global order, refused (ValueError) above MAX_MODULUS."""
+    modulus = global_order(spec)
+    if modulus > MAX_MODULUS:
+        raise ValueError(f"matrix order {modulus} exceeds the supported "
+                         f"bound {MAX_MODULUS}")
+    return modulus
+
+
 def period_mask(spec: JordanSpec, q: int) -> CoordMask:
     """Select the coordinates whose block order divides q."""
     if q < 1:

@@ -8,15 +8,20 @@ table, _iterate_indices, holds that rule: it checks the normal form and
 strips the eigenvalues once, and every index that fixed_point_index,
 the Dold indices and orbit_spectrum use is read from it.  The direct
 route computes the same index as the zero order of f^q - id by actual
-composition (exponential in q, kept for cross-checks: jet determinacy
-lets the composition be truncated adaptively).
+composition (exponential in q; jet determinacy lets the composition be
+truncated adaptively).
 
 Dold indices combine iterate indices by inclusion-exclusion over the
 prime subsets of q; dividing by q yields the count of period-q orbits
 concealed at the fixed point.  For every d in the period set, the masked
 zero order also equals sum(q * count_q) over the divisors q of d in the
 period set, a triangular system that solve_counts_triangular inverts
-independently as a cross-check.
+independently as a cross-check.  The per-period division route checks
+each count at q >= 2 once more: on the q-mask, dividing the block-end
+coordinates of the essential blocks by their lead variables leaves a map
+whose zero order is q times the count at q.  Direct composition checks
+q = 1, where it is just f - id, and is the fallback for a small q that
+the division route does not cover.
 """
 
 from __future__ import annotations
@@ -29,12 +34,14 @@ from .jordan import JordanSpec, period_mask, period_set
 from .multiplicity import (DEFAULT_DEGREE_CAP, NotIsolatedWithinBound,
                            multiplicity)
 from .polynomials import GermMap, TermBudgetExceeded
-from .resonance import project, strip_eigenvalues, validate_rnf
+from .resonance import (divide_by_leads, find_essential_blocks,
+                        lead_variable_shape_ok, project, strip_eigenvalues,
+                        validate_rnf)
 
 
-# The direct-composition cross-check runs for iterates q up to this bound,
-# and gives up on a q (reporting it unchecked) once one product of its
-# composition passes this many terms.
+# Direct composition is the cross-check's fallback for iterates q up to
+# this bound, and gives up on a q (reporting it unchecked) once one
+# product of its composition passes this many terms.
 DIRECT_CHECK_MAX_Q = 6
 DIRECT_CHECK_TERM_LIMIT = 2_000
 
@@ -90,9 +97,10 @@ def direct_iterate_index(f: GermMap, q: int, degree_cap: int = DEFAULT_DEGREE_CA
                 f"its truncation budget for q={q}")
 
 
-def _iterate_indices(spec: JordanSpec, f: GermMap,
-                     degree_cap: int) -> Callable[[int], int]:
-    """The q -> index table of a germ in resonant polynomial normal form.
+def _iterate_indices(spec: JordanSpec, f: GermMap, degree_cap: int
+                     ) -> tuple[GermMap, Callable[[int], int]]:
+    """The stripped map and the q -> index table of a germ in resonant
+    polynomial normal form.
 
     The normal form is checked and the eigenvalues stripped once; each
     index is the zero order of the stripped map projected to the q-mask,
@@ -111,7 +119,7 @@ def _iterate_indices(spec: JordanSpec, f: GermMap,
                 project(stripped, mask), degree_cap).value
         return cache[mask.bits]
 
-    return index
+    return stripped, index
 
 
 def fixed_point_index(spec: JordanSpec, f: GermMap, q: int,
@@ -120,7 +128,7 @@ def fixed_point_index(spec: JordanSpec, f: GermMap, q: int,
     polynomial normal form (direct_iterate_index needs no normal form)."""
     if q < 1:
         raise ValueError("iterate exponent must be >= 1")
-    return _iterate_indices(spec, f, degree_cap)(q)
+    return _iterate_indices(spec, f, degree_cap)[1](q)
 
 
 def _dold(index: Callable[[int], int], q: int, seen: dict[int, int]) -> int:
@@ -162,6 +170,32 @@ def solve_counts_triangular(spec: JordanSpec, mask_orders: dict[int, int]) -> di
     return counts
 
 
+def _division_order(spec: JordanSpec, stripped: GermMap, q: int,
+                    degree_cap: int) -> int | str:
+    """q times the count at q by the per-period division route, or why
+    the route does not apply: "no witness", "shape", "divisibility" or
+    "not isolated".
+
+    stripped is the eigenvalue-stripped map of a germ in normal form; q
+    is in the period set, so the blocks whose order divides q have lcm q.
+    """
+    sub = JordanSpec(tuple(b for b in spec.blocks if q % b.order == 0))
+    witness = find_essential_blocks(sub)
+    if witness is None:
+        return "no witness"
+    masked = project(stripped, period_mask(spec, q))
+    if not lead_variable_shape_ok(sub, masked):
+        return "shape"
+    try:
+        divided = divide_by_leads(sub, masked, witness)
+    except ValueError:
+        return "divisibility"
+    try:
+        return multiplicity(divided, degree_cap).value
+    except NotIsolatedWithinBound:
+        return "not isolated"
+
+
 @dataclass(frozen=True)
 class OrbitSpectrum:
     spec: JordanSpec
@@ -171,16 +205,23 @@ class OrbitSpectrum:
     counts: dict[int, int]      # q -> hidden orbit count, q in PE + {1}
     checks: dict[str, bool] = field(default_factory=dict)
     unchecked: dict[int, str] = field(default_factory=dict)  # q -> why
+    checked_by: dict[int, str] = field(default_factory=dict)  # q -> route
 
 
 def orbit_spectrum(spec: JordanSpec, f: GermMap, cross_check: bool = True,
                    degree_cap: int = DEFAULT_DEGREE_CAP) -> OrbitSpectrum:
     """All hidden orbit counts over the period set, with optional
-    cross-checks (triangular identity; direct-composition route for small
-    iterates).  A q whose direct composition runs past
-    DIRECT_CHECK_TERM_LIMIT terms keeps the projection route, is named in
-    unchecked, and sets checks["direct"] to False."""
-    index = _iterate_indices(spec, f, degree_cap)
+    cross-checks.
+
+    The triangular solve must reproduce the counts (checks["triangular"]).
+    Each q >= 2 is then checked by the division route and, where that
+    route does not apply and q <= DIRECT_CHECK_MAX_Q, by direct
+    composition, which also checks q = 1; checked_by names the route per
+    q.  A q that neither route covers (no witness, shape, divisibility,
+    not isolated, or a composition past DIRECT_CHECK_TERM_LIMIT terms)
+    is named in unchecked, and checks["iterates"] is then False.  A
+    disagreement raises ConsistencyError."""
+    stripped, index = _iterate_indices(spec, f, degree_cap)
     pe = sorted(period_set(spec))
     qs = sorted(set(pe) | {1})
     mu: dict[int, int] = {}
@@ -194,6 +235,7 @@ def orbit_spectrum(spec: JordanSpec, f: GermMap, cross_check: bool = True,
         counts[q] = dold[q] // q
     checks: dict[str, bool] = {}
     unchecked: dict[int, str] = {}
+    checked_by: dict[int, str] = {}
     if cross_check:
         triangular = solve_counts_triangular(
             spec, {d: mu[d] for d in qs})
@@ -201,10 +243,20 @@ def orbit_spectrum(spec: JordanSpec, f: GermMap, cross_check: bool = True,
             raise ConsistencyError(
                 f"triangular solve disagrees with inclusion-exclusion: "
                 f"{triangular} vs {counts}")
-        checks["f37"] = True
+        checks["triangular"] = True
         for q in qs:
-            if q > DIRECT_CHECK_MAX_Q:
-                continue
+            if q > 1:
+                order = _division_order(spec, stripped, q, degree_cap)
+                if isinstance(order, int):
+                    if order != q * counts[q]:
+                        raise ConsistencyError(
+                            f"division route gives order {order} for q={q}, "
+                            f"the counts give {q * counts[q]}")
+                    checked_by[q] = "division"
+                    continue
+                if q > DIRECT_CHECK_MAX_Q:
+                    unchecked[q] = order
+                    continue
             try:
                 direct = direct_iterate_index(f, q, degree_cap, hint=mu[q])
             except TermBudgetExceeded:
@@ -215,5 +267,7 @@ def orbit_spectrum(spec: JordanSpec, f: GermMap, cross_check: bool = True,
                 raise ConsistencyError(
                     f"direct route gives {direct} for q={q}, projection "
                     f"gives {mu[q]}")
-        checks["direct"] = not unchecked
-    return OrbitSpectrum(spec, tuple(pe), mu, dold, counts, checks, unchecked)
+            checked_by[q] = "direct"
+        checks["iterates"] = not unchecked
+    return OrbitSpectrum(spec, tuple(pe), mu, dold, counts, checks,
+                         unchecked, checked_by)

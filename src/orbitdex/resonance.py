@@ -16,10 +16,8 @@ turns full-period orbit counts into a single multiplicity.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 from .jordan import CoordMask, JordanSpec, global_order
 from .polynomials import GermMap, Poly
@@ -133,28 +131,24 @@ def project(g: GermMap, mask: CoordMask) -> GermMap:
 
 
 def find_essential_blocks(spec: JordanSpec) -> tuple[int, ...] | None:
-    """Search for block indices whose orders have lcm equal to the global
-    order while each selected order fails to divide the lcm of all the
-    *other* block orders.  Smallest selections first, lexicographic within
-    a size; None when no selection qualifies."""
+    """The block indices whose order fails to divide the lcm of all the
+    *other* block orders, when their orders have lcm equal to the global
+    order; None otherwise.
+
+    That property belongs to each block alone, and a selection whose lcm
+    is the global order must contain every such block, so this set is
+    the only selection of essential blocks that can qualify.
+    """
     orders = spec.orders()
-    m = len(orders)
-    total = global_order(spec)
-    for t in range(1, m + 1):
-        for combo in itertools.combinations(range(m), t):
-            sel = [orders[j] for j in combo]
-            if reduce(math.lcm, sel) != total:
-                continue
-            ok = True
-            for j in combo:
-                rest = [orders[i] for i in range(m) if i != j]
-                rest_lcm = reduce(math.lcm, rest) if rest else 1
-                if rest_lcm % orders[j] == 0:
-                    ok = False
-                    break
-            if ok:
-                return combo
-    return None
+    essential = []
+    for j, d in enumerate(orders):
+        rest = math.lcm(*orders[:j], *orders[j + 1:])
+        if rest % d:
+            essential.append(j)
+    reached = math.lcm(*(orders[j] for j in essential))
+    if not essential or reached != global_order(spec):
+        return None
+    return tuple(essential)
 
 
 def lead_variable_shape_ok(spec: JordanSpec, stripped: GermMap) -> bool:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .germfile import GermDocument
-from .jordan import (MAX_EXPONENT, MAX_MODULUS, JordanSpec, SequenceTarget,
+from .jordan import (MAX_EXPONENT, JordanSpec, SequenceTarget, bounded_order,
                      global_order, is_admissible, period_set)
 from .multiplicity import DEFAULT_DEGREE_CAP
 from .orbits import ConsistencyError, orbit_spectrum
@@ -306,10 +306,7 @@ def realize(spec: JordanSpec, target: SequenceTarget,
     The matrix must be universal and the target admissible, and no
     exponent of the germ may exceed MAX_EXPONENT (the parser's bound).
     """
-    modulus = global_order(spec)
-    if modulus > MAX_MODULUS:
-        raise ValueError(f"matrix order {modulus} exceeds the supported "
-                         f"bound {MAX_MODULUS}")
+    modulus = bounded_order(spec)
     admissible = is_admissible(spec, target)
     if not admissible.ok:
         raise ValueError(f"target is not admissible: {admissible.reason}")

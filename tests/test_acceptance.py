@@ -175,7 +175,7 @@ def test_criterion_06_worked_two_dimensional_fixture():
         assert sp.mu[2] == 1 + 2 * sp.counts[2]
         assert sp.mu[3] == 1 + 3 * sp.counts[3]
         assert sp.mu[6] == 1 + 2 + 3 + 6
-        assert sp.checks == {"f37": True, "direct": True}
+        assert sp.checks == {"triangular": True, "iterates": True}
 
 
 def test_criterion_07_chain_coprime_family_sweep():

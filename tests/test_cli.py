@@ -158,10 +158,13 @@ def test_spectrum_json_schema(capsys, worked):
     assert payload["results"]["counts"] == {"1": 1, "2": 1, "3": 1, "6": 1}
     assert payload["results"]["mu"]["6"] == 12
     assert payload["results"]["dold"]["6"] == 6
-    assert payload["checks"] == {"f37": True, "direct": True}
+    assert payload["results"]["checked_by"] == {
+        "1": "direct", "2": "division", "3": "division", "6": "division"}
+    assert payload["checks"] == {"triangular": True, "iterates": True}
 
 
 def test_spectrum_reports_q_past_the_term_budget(capsys, tmp_path):
+    # the known hang is checked at q = 6 by division, without composing
     path = tmp_path / "hang.germ"
     path.write_text(KNOWN_HANG)
     start = time.monotonic()
@@ -170,12 +173,94 @@ def test_spectrum_reports_q_past_the_term_budget(capsys, tmp_path):
     assert code == 0
     payload = json.loads(out)
     assert payload["results"]["counts"] == {"1": 1, "2": 2, "6": 3}
-    assert payload["checks"] == {"f37": True, "direct": False}
+    assert payload["checks"] == {"triangular": True, "iterates": True}
+    assert payload["results"]["checked_by"] == {
+        "1": "direct", "2": "division", "6": "division"}
+    assert "unchecked" not in payload["results"]
+    code, out, _ = run(capsys, "spectrum", str(path))
+    assert code == 0
+    assert "checked by: 1:direct 2:division 6:division" in out
+    assert "unchecked" not in out
+
+
+def test_spectrum_names_a_q_past_the_fallback_budget(capsys, tmp_path):
+    # x2 and x4 are not lead variables, so q = 6 falls back to direct
+    # composition, which runs past its budget
+    path = tmp_path / "shape.germ"
+    path.write_text(KNOWN_HANG.replace(
+        "f4 = L2*x4 + x1^6*x3;", "f4 = L2*x4 + x1^6*x3 + x2^2*x4;"))
+    start = time.monotonic()
+    code, out, _ = run(capsys, "--json", "--no-timing", "spectrum", str(path))
+    assert time.monotonic() - start < 10
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["results"]["counts"] == {"1": 1, "2": 2, "6": 3}
+    assert payload["checks"] == {"triangular": True, "iterates": False}
+    assert payload["results"]["checked_by"] == {"1": "direct",
+                                                "2": "division"}
     assert payload["results"]["unchecked"] == {
         "6": "direct composition past 2000 terms"}
     code, out, _ = run(capsys, "spectrum", str(path))
     assert code == 0
     assert "unchecked: q=6 (direct composition past 2000 terms)" in out
+
+
+def test_spectrum_names_an_unchecked_q_past_the_direct_bound(capsys,
+                                                             tmp_path):
+    # x2 is not a lead variable: q = 2 falls back to direct composition,
+    # and q = 10, past DIRECT_CHECK_MAX_Q, is checked by no route
+    path = tmp_path / "ten.germ"
+    path.write_text("""\
+matrix {
+  block { size = 2, order = 2, power = 1 }
+  block { size = 1, order = 5, power = 1 }
+}
+map {
+  f1 = L1*x1 + x2;
+  f2 = L1*x2 + x1^3 + x2^3;
+  f3 = L2*x3 + x3^6;
+}
+""")
+    code, out, _ = run(capsys, "--json", "--no-timing", "spectrum", str(path))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["results"]["counts"] == {"1": 1, "2": 1, "5": 1, "10": 1}
+    assert payload["checks"] == {"triangular": True, "iterates": False}
+    assert payload["results"]["checked_by"] == {"1": "direct", "2": "direct",
+                                                "5": "division"}
+    assert payload["results"]["unchecked"] == {"10": "shape"}
+
+
+def test_spectrum_on_many_blocks_is_polynomial(capsys, tmp_path):
+    # 24 blocks of order 2 have no essential block, so q = 2 falls back
+    # to direct composition; a search over the 2^24 block subsets for
+    # one would not finish, and the alarm turns that into a failure
+    path = tmp_path / "many.germ"
+    path.write_text(
+        "matrix {\n"
+        + "block { size = 1, order = 2, power = 1 }\n" * 24
+        + "}\nmap {\n"
+        + "".join(f"f{i} = L{i}*x{i} + x{i}^3;\n" for i in range(1, 25))
+        + "}\n")
+
+    def too_slow(signum, frame):
+        raise TimeoutError("spectrum on 24 blocks took over 10 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(10)
+    try:
+        start = time.monotonic()
+        code, out, _ = run(capsys, "--json", "--no-timing", "spectrum",
+                           str(path))
+        elapsed = time.monotonic() - start
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["results"]["counts"] == {"1": 1, "2": (3**24 - 1) // 2}
+    assert payload["results"]["checked_by"] == {"1": "direct", "2": "direct"}
+    assert elapsed < 2
 
 
 def test_spectrum_deterministic_output(capsys, worked):
@@ -212,6 +297,16 @@ def test_matrix_pe_is_polynomial_in_the_block_count(capsys):
         signal.signal(signal.SIGALRM, previous)
     assert code == 0 and out.split() == ["2", "3", "4", "6", "12"]
     assert elapsed < 1
+
+
+@pytest.mark.parametrize("command, rest", [
+    (("matrix", "pe"), ()), (("matrix", "order"), ()),
+    (("matrix", "universal"), ()),
+    (("admissible",), ("--seq", "1:1,2:1,2049:1,4098:1"))])
+def test_matrix_order_bound(capsys, command, rest):
+    code, out, err = run(capsys, *command, "[(1,2,1);(1,2049,1)]", *rest)
+    assert code == 1 and out == ""
+    assert "matrix order 4098 exceeds the supported bound 2048" in err
 
 
 def test_admissible_command(capsys):

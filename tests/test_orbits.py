@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitdex import (GermMap, JordanBlock, JordanSpec, Poly,
+from orbitdex import (ConsistencyError, GermMap, JordanBlock, JordanSpec, Poly,
                       direct_iterate_index, fixed_point_index, multiplicity,
                       orbit_spectrum, parse_germ, validate_rnf)
+from orbitdex import orbits
 from orbitdex.orbits import prime_factors, solve_counts_triangular
 from orbitdex.polynomials import variables
 from orbitdex.resonance import (divide_by_leads, find_essential_blocks,
@@ -76,7 +77,9 @@ def test_orbit_spectrum_worked_fixture():
     assert sp.mu == {1: 1, 2: 3, 3: 4, 6: 12}
     assert sp.dold == {1: 1, 2: 2, 3: 3, 6: 6}
     assert sp.counts == {1: 1, 2: 1, 3: 1, 6: 1}
-    assert sp.checks == {"f37": True, "direct": True}
+    assert sp.checks == {"triangular": True, "iterates": True}
+    assert sp.checked_by == {1: "direct", 2: "division", 3: "division",
+                             6: "division"}
     assert sp.unchecked == {}
 
 
@@ -108,20 +111,50 @@ def test_route_agreement_on_fixtures():
 
 
 def test_direct_check_term_budget_on_known_hang():
-    # without a term budget the direct check composes f^6 for minutes
+    # composing f^6 runs past the direct check's budget; the division
+    # route checks q = 6 without composing
     spec = JordanSpec((B(2, 2, 1), B(2, 6, 1)))
     start = time.monotonic()
     sp = orbit_spectrum(spec, chain_germ(spec, (2, 3)))
     assert time.monotonic() - start < 10
     assert sp.counts == {1: 1, 2: 2, 6: 3}
-    assert sp.checks == {"f37": True, "direct": False}
+    assert sp.checks == {"triangular": True, "iterates": True}
+    assert sp.checked_by == {1: "direct", 2: "division", 6: "division"}
+    assert sp.unchecked == {}
+
+
+def test_direct_fallback_keeps_the_term_budget():
+    # the known hang with a resonant term in the non-lead variables x2
+    # and x4: q = 6 fails the lead shape, and its direct composition runs
+    # past the budget
+    spec = JordanSpec((B(2, 2, 1), B(2, 6, 1)))
+    g = chain_germ(spec, (2, 3))
+    x = variables(4, modulus=6)
+    g = GermMap(g.coords[:3] + (g.coords[3] + x[1]**2 * x[3],))
+    start = time.monotonic()
+    sp = orbit_spectrum(spec, g)
+    assert time.monotonic() - start < 10
+    assert sp.counts == {1: 1, 2: 2, 6: 3}
+    assert sp.checks == {"triangular": True, "iterates": False}
+    assert sp.checked_by == {1: "direct", 2: "division"}
     assert sp.unchecked == {6: "direct composition past 2000 terms"}
+
+
+def test_division_route_disagreement_is_a_consistency_error(monkeypatch):
+    # left undivided, the masked map at q = 2 has order mu(2) = 3, not
+    # 2 * count = 2
+    monkeypatch.setattr(orbits, "divide_by_leads",
+                        lambda spec, masked, witness: masked)
+    doc = parse_germ(WORKED)
+    with pytest.raises(ConsistencyError, match="division route"):
+        orbit_spectrum(doc.matrix, doc.gmap)
 
 
 def test_fixtures_pass_the_direct_check_within_budget():
     for name, doc in load_fixtures():
         sp = orbit_spectrum(doc.matrix, doc.gmap)
-        assert sp.checks["direct"] is True and not sp.unchecked, name
+        assert sp.checks["iterates"] is True and not sp.unchecked, name
+        assert set(sp.checked_by) == set(sp.pe) | {1}, name
 
 
 def test_shub_sullivan_on_fixtures():
@@ -293,3 +326,20 @@ def test_dold_congruences(germ):
         dold = sum(_moebius(q // d) * index[d]
                    for d in range(1, q + 1) if q % d == 0)
         assert dold % q == 0, (q, dold, index)
+
+
+# derandomized: about one germ in 150 sends a q that division does not
+# cover to direct composition, whose multiplicity has no time budget and
+# can then run for minutes
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(resonant_germs())
+def test_default_cross_check_on_resonant_germs(germ):
+    """The default cross-check agrees with the counts on random resonant
+    germs (a disagreement raises ConsistencyError), and every q of the
+    period set and q = 1 is either checked by one route or named."""
+    spec, f = germ
+    sp = orbit_spectrum(spec, f)
+    qs = set(sp.pe) | {1}
+    assert set(sp.checked_by) | set(sp.unchecked) == qs
+    assert not set(sp.checked_by) & set(sp.unchecked)
+    assert sp.checks["iterates"] == (not sp.unchecked)

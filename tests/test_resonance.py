@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -120,6 +123,29 @@ def test_find_essential_blocks_examples():
     assert find_essential_blocks(JordanSpec((B(1, 2, 1), B(1, 3, 1)))) == (0, 1)
     assert find_essential_blocks(JordanSpec((B(1, 2, 1), B(1, 6, 1)))) == (1,)
     assert find_essential_blocks(JordanSpec((B(1, 2, 1), B(1, 2, 1)))) is None
+
+
+def _essential_blocks_by_search(orders):
+    """The subset search find_essential_blocks replaced: smallest
+    selections first, lexicographic within a size."""
+    m = len(orders)
+    total = math.lcm(*orders)
+    for t in range(1, m + 1):
+        for combo in itertools.combinations(range(m), t):
+            if math.lcm(*(orders[j] for j in combo)) != total:
+                continue
+            if all(math.lcm(*(orders[i] for i in range(m) if i != j))
+                   % orders[j] for j in combo):
+                return combo
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 30]),
+                min_size=1, max_size=8))
+def test_find_essential_blocks_matches_the_subset_search(orders):
+    spec = JordanSpec(tuple(B(1, d, 1) for d in orders))
+    assert find_essential_blocks(spec) == _essential_blocks_by_search(orders)
 
 
 def test_divide_by_leads_examples():
