@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 domain or validation failure, 2 usage/parse
 error.  --json output is deterministic (stable keys; the timing field is
 suppressed by --no-timing); integers outside the 53-bit safe range are
-rendered as decimal strings.
+rendered as decimal strings.  A refusal (ValueError) that reaches main
+still prints a {"ok": false, "reason": ...} payload under --json.
 """
 
 from __future__ import annotations
@@ -45,11 +46,11 @@ def _jsonable(value):
 
 
 class _Reporter:
-    def __init__(self, args, command: str):
+    def __init__(self, args):
         self.json_mode = args.json
         self.timing = not args.no_timing
-        self.command = command
         self.started = time.monotonic()
+        command = f"matrix {args.what}" if args.cmd == "matrix" else args.cmd
         self.payload: dict = {"command": command}
         self.lines: list[str] = []
 
@@ -79,8 +80,7 @@ def _load_document(path: str, reporter: _Reporter) -> GermDocument:
     return parse_germ(data.decode("utf-8"))
 
 
-def _cmd_check(args) -> int:
-    rep = _Reporter(args, "check")
+def _cmd_check(args, rep: _Reporter) -> int:
     doc = _load_document(args.file, rep)
     verdict = validate_rnf(doc.matrix, doc.gmap)
     if not verdict.ok:
@@ -101,8 +101,7 @@ def _cmd_check(args) -> int:
     return 0
 
 
-def _cmd_mult(args) -> int:
-    rep = _Reporter(args, "mult")
+def _cmd_mult(args, rep: _Reporter) -> int:
     doc = _load_document(args.file, rep)
     target = doc.gmap if args.map_only else doc.gmap.minus_identity()
     try:
@@ -123,8 +122,7 @@ def _cmd_mult(args) -> int:
     return 0
 
 
-def _cmd_index(args) -> int:
-    rep = _Reporter(args, "index")
+def _cmd_index(args, rep: _Reporter) -> int:
     doc = _load_document(args.file, rep)
     results = {}
     try:
@@ -148,8 +146,7 @@ def _cmd_index(args) -> int:
     return 0 if agree else 1
 
 
-def _cmd_spectrum(args) -> int:
-    rep = _Reporter(args, "spectrum")
+def _cmd_spectrum(args, rep: _Reporter) -> int:
     doc = _load_document(args.file, rep)
     try:
         sp = orbit_spectrum(doc.matrix, doc.gmap,
@@ -180,8 +177,7 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
-def _cmd_matrix(args) -> int:
-    rep = _Reporter(args, f"matrix {args.what}")
+def _cmd_matrix(args, rep: _Reporter) -> int:
     spec = parse_inline_matrix(args.matrix)
     order = bounded_order(spec)
     if args.what == "pe":
@@ -208,8 +204,7 @@ def _cmd_matrix(args) -> int:
     return 0
 
 
-def _cmd_admissible(args) -> int:
-    rep = _Reporter(args, "admissible")
+def _cmd_admissible(args, rep: _Reporter) -> int:
     spec = parse_inline_matrix(args.matrix)
     bounded_order(spec)
     target = SequenceTarget.parse(args.seq)
@@ -219,8 +214,7 @@ def _cmd_admissible(args) -> int:
     return 0 if verdict.ok else 1
 
 
-def _cmd_realize(args) -> int:
-    rep = _Reporter(args, "realize")
+def _cmd_realize(args, rep: _Reporter) -> int:
     spec = parse_inline_matrix(args.matrix)
     target = SequenceTarget.parse(args.seq)
     try:
@@ -241,8 +235,7 @@ def _cmd_realize(args) -> int:
     return 0
 
 
-def _cmd_lemma42(args) -> int:
-    rep = _Reporter(args, "lemma42")
+def _cmd_lemma42(args, rep: _Reporter) -> int:
     moduli = tuple(int(v) for v in args.a.split(","))
     powers = tuple(int(v) for v in args.r.split(","))
     try:
@@ -271,8 +264,7 @@ def _fixture_dir(args) -> Path:
     return Path(str(resources.files("orbitdex") / "fixtures"))
 
 
-def _cmd_paper_suite(args) -> int:
-    rep = _Reporter(args, "paper-suite")
+def _cmd_paper_suite(args, rep: _Reporter) -> int:
     fdir = _fixture_dir(args)
     names = sorted(p.stem for p in fdir.glob("*.germ"))
     if args.filter:
@@ -406,8 +398,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     args.degree_cap = (DEFAULT_DEGREE_CAP if args.degree_cap_arg is None
                        else args.degree_cap_arg)
+    rep = _Reporter(args)
     try:
-        return args.func(args)
+        return args.func(args, rep)
     except GermParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
@@ -416,6 +409,7 @@ def main(argv=None) -> int:
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        rep.emit({"ok": False, "reason": str(exc)})
         return 1
     except ConsistencyError as exc:
         print(f"internal consistency error: {exc}", file=sys.stderr)

@@ -8,6 +8,14 @@ local ring), so the repeated value is the multiplicity.  Q_d comes from
 one fraction-free elimination over both coefficient rings, Q and
 Q(zeta_M): rows have integral entries and every pivot lead is an integer.
 
+The engine builds a row only when it can change Q_d, and only as much of
+it as Q_d reads.  Step d inserts the rows x^a f_i of order exactly d - 1:
+a row of order >= d lies in m^d and, reduced, still leads at degree >= d.
+Every row is cut below a degree bound top, which is exact for every
+Q_d with d <= top because trunc_d o trunc_top = trunc_d; top starts at 8
+and doubles, with the echelon rebuilt, whenever d reaches it without a
+repeat.
+
 Exact closed-form reductions run first and hand the engine only small
 residual systems:
 
@@ -212,19 +220,43 @@ def _shift_terms(terms: dict, alpha) -> dict:
     }
 
 
+def _insert_step(ech: _Echelon, rows, orders, nvars: int, step: int,
+                 top: int) -> None:
+    """Insert trunc_top(x^a f_i) for every |a| = step - 1 - o_i, so each
+    row inserted at this step has order exactly step - 1."""
+    for terms, order in zip(rows, orders):
+        shift = step - 1 - order
+        if shift < 0:
+            continue
+        kept = {m: c for m, c in terms.items() if sum(m) + shift < top}
+        for alpha in _monomials_of_degree(nvars, shift):
+            ech.insert(_shift_terms(kept, alpha))
+
+
 def _stabilize(coords, nvars: int, cap: int,
                witness: str | None = None):
-    """Run the quotient-dimension engine; return (value, d_star, dims)."""
-    ech, rows = _Echelon(), _integral_rows(coords)
+    """Run the quotient-dimension engine; return (value, d_star, dims).
+
+    Step d inserts the rows of order d - 1, cut below top (see the module
+    docstring).  When d reaches top without a repeat, top doubles up to
+    cap + 1 and the echelon is rebuilt from scratch, so Q_d is computed
+    for the same d = 1, ..., cap + 1 as without the bound."""
+    rows = _integral_rows(coords)
+    orders = [min(sum(m) for m in terms) for terms in rows]
+    top = min(cap + 1, 8)
+    ech = _Echelon()
     dims: list[int] = []
     for d in range(1, cap + 2):
-        for alpha in _monomials_of_degree(nvars, d - 1):
-            for terms in rows:
-                ech.insert(_shift_terms(terms, alpha))
+        _insert_step(ech, rows, orders, nvars, d, top)
         q_d = math.comb(d - 1 + nvars, nvars) - ech.pivots_below(d)
         dims.append(q_d)
         if d >= 2 and dims[-1] == dims[-2]:
             return dims[-1], d - 1, tuple(dims)
+        if d == top and top <= cap:
+            top = min(2 * top, cap + 1)
+            ech = _Echelon()
+            for step in range(1, d + 1):
+                _insert_step(ech, rows, orders, nvars, step, top)
     raise NotIsolatedWithinBound(cap, witness=witness, definite=False)
 
 

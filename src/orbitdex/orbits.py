@@ -74,8 +74,11 @@ def direct_iterate_index(f: GermMap, q: int, degree_cap: int = DEFAULT_DEGREE_CA
     until the computed order is < D; a germ whose low jet matches f^q - id
     up to its own order has the same order, so the result is exact.  A
     product of more than DIRECT_CHECK_TERM_LIMIT terms raises
-    TermBudgetExceeded; the multiplicity computed after the composition
-    has no such budget.
+    TermBudgetExceeded.  The multiplicity computed after the composition
+    has no such budget, but its engine reads each row of f^q - id only
+    below a degree bound that doubles from 8, and builds a row only at the
+    step where its order can change Q_d, so it costs what the order needs,
+    not what the composition holds.
     """
     start = max(4, hint + 2 if hint is not None else 8)
     trunc = start

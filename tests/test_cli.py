@@ -1,3 +1,4 @@
+import contextlib
 import json
 import shutil
 import signal
@@ -55,6 +56,21 @@ map {
 }
 """
 
+# q = 6 of this germ falls back to direct composition: f^6 - id fits the
+# term budget, and the engine then runs on a residual system with rows of
+# about 500 terms that stabilizes at degree 6
+DIRECT_FALLBACK = """\
+matrix {
+  block { size = 2, order = 2, power = 1 }
+  block { size = 1, order = 6, power = 1 }
+}
+map {
+  f1 = L1*x1 + x2 - x2^3 - x1^2*x2^3;
+  f2 = L1*x2 + 2*x3^3 + 2*x1^5 - x1*x2*x3^3;
+  f3 = L2*x3 - 2*x1^3*x2*x3 - 2*x1*x3^4 - 2*x2*x3^4;
+}
+"""
+
 
 @pytest.fixture
 def worked(tmp_path):
@@ -67,6 +83,21 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+@contextlib.contextmanager
+def alarm(seconds, what):
+    """Turn a run longer than seconds into a TimeoutError, not a hang."""
+    def too_slow(signum, frame):
+        raise TimeoutError(f"{what} took over {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_check_ok(capsys, worked):
@@ -183,6 +214,23 @@ def test_spectrum_reports_q_past_the_term_budget(capsys, tmp_path):
     assert "unchecked" not in out
 
 
+def test_spectrum_direct_fallback_is_fast(capsys, tmp_path):
+    # the engine builds only the rows that can change Q_d and cuts them
+    # below a doubling degree bound; eliminating every row in full took
+    # minutes
+    path = tmp_path / "fallback.germ"
+    path.write_text(DIRECT_FALLBACK)
+    with alarm(30, "spectrum with a direct fallback at q = 6"):
+        code, out, _ = run(capsys, "--json", "--no-timing", "spectrum",
+                           str(path))
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["counts"] == {"1": 1, "2": 2, "6": 3}
+    assert results["mu"] == {"1": 1, "2": 5, "3": 1, "6": 23}
+    assert results["checked_by"] == {"1": "direct", "2": "division",
+                                     "6": "direct"}
+
+
 def test_spectrum_names_a_q_past_the_fallback_budget(capsys, tmp_path):
     # x2 and x4 are not lead variables, so q = 6 falls back to direct
     # composition, which runs past its budget
@@ -242,20 +290,11 @@ def test_spectrum_on_many_blocks_is_polynomial(capsys, tmp_path):
         + "}\nmap {\n"
         + "".join(f"f{i} = L{i}*x{i} + x{i}^3;\n" for i in range(1, 25))
         + "}\n")
-
-    def too_slow(signum, frame):
-        raise TimeoutError("spectrum on 24 blocks took over 10 s")
-
-    previous = signal.signal(signal.SIGALRM, too_slow)
-    signal.alarm(10)
-    try:
+    with alarm(10, "spectrum on 24 blocks"):
         start = time.monotonic()
         code, out, _ = run(capsys, "--json", "--no-timing", "spectrum",
                            str(path))
         elapsed = time.monotonic() - start
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
     assert code == 0
     payload = json.loads(out)
     assert payload["results"]["counts"] == {"1": 1, "2": (3**24 - 1) // 2}
@@ -282,19 +321,10 @@ def test_matrix_pe_is_polynomial_in_the_block_count(capsys):
     # a loop over all 2^64 block subsets would never finish; the alarm
     # turns that into a failure instead of a hang
     blocks = ";".join(["(1,2,1)", "(1,3,1)", "(1,4,1)", "(1,6,1)"] * 16)
-
-    def too_slow(signum, frame):
-        raise TimeoutError("matrix pe on 64 blocks took over 5 s")
-
-    previous = signal.signal(signal.SIGALRM, too_slow)
-    signal.alarm(5)
-    try:
+    with alarm(5, "matrix pe on 64 blocks"):
         start = time.monotonic()
         code, out, _ = run(capsys, "matrix", "pe", f"[{blocks}]")
         elapsed = time.monotonic() - start
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
     assert code == 0 and out.split() == ["2", "3", "4", "6", "12"]
     assert elapsed < 1
 
@@ -307,6 +337,18 @@ def test_matrix_order_bound(capsys, command, rest):
     code, out, err = run(capsys, *command, "[(1,2,1);(1,2049,1)]", *rest)
     assert code == 1 and out == ""
     assert "matrix order 4098 exceeds the supported bound 2048" in err
+
+
+@pytest.mark.parametrize("matrix, reason", [
+    ("[(1,2,1);(1,2049,1)]", "matrix order 4098 exceeds the supported bound 2048"),
+    ("[(1,2,1);(1,0,1)]", "block order must be >= 1 (eigenvalues must be "
+                          "roots of unity), got 0")])
+def test_json_refusal_is_a_payload(capsys, matrix, reason):
+    # a ValueError that reaches main still prints a JSON payload under --json
+    code, out, err = run(capsys, "--json", "--no-timing", "matrix", "pe", matrix)
+    assert code == 1 and err == f"error: {reason}\n"
+    assert json.loads(out) == {"command": "matrix pe",
+                               "results": {"ok": False, "reason": reason}}
 
 
 def test_admissible_command(capsys):

@@ -1,9 +1,12 @@
 import importlib
 import math
+import random
 from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitdex import (GermMap, NotIsolatedWithinBound, Poly, multiplicity,
                       parse_germ)
@@ -372,3 +375,197 @@ def test_engine_pivot_rows_are_integral_with_integer_leads(monkeypatch):
     for g in (f, f.embed(4), parse_germ(NON_RATIONAL_LEADS).gmap):
         multiplicity(g)
     assert any(not isinstance(c, int) and not c.is_rational() for c in leads)
+
+
+# A 3-variable (4, 3, 2) system over Q(zeta_3) from the benchmark's
+# `_mult_system` generator, seed 7919 (its `mult` workload keeps such
+# systems out): eliminating every row x^a f_i in full took about 30 s.
+THREE_VARIABLES_ZETA_3 = """\
+matrix {
+  block { size = 1, order = 3, power = 1 }
+  block { size = 1, order = 1, power = 1 }
+  block { size = 1, order = 1, power = 1 }
+}
+map {
+  f1 = -2*w(3,1)*x3^2 + 2*w(3,1)*x2^3 - 6*x2^2*x3 - 6*w(3,1)*x2^2*x3 +
+      6*x2*x3^2 + 4*w(3,1)*x3^3 + x1^4 - 4*w(3,1)*x1^3*x2 - 6*x1^2*x2^2 -
+      6*w(3,1)*x1^2*x2^2 - 4*x1*x2^3 + 2*w(3,1)*x2^4 + 12*w(3,1)*x1^3*x3 +
+      36*x1^2*x2*x3 + 36*w(3,1)*x1^2*x2*x3 + 36*x1*x2^2*x3 - 4*x2^3*x3 -
+      16*w(3,1)*x2^3*x3 - 54*x1^2*x3^2 - 54*w(3,1)*x1^2*x3^2 -
+      108*x1*x2*x3^2 + 6*x2^2*x3^2 + 54*w(3,1)*x2^2*x3^2 + 108*x1*x3^3 -
+      104*w(3,1)*x2*x3^3 - x3^4 + 80*w(3,1)*x3^4 + w(3,1)*x1^5 + 5*x1^4*x2 +
+      5*w(3,1)*x1^4*x2 + 10*x1^3*x2^2 - 10*w(3,1)*x1^2*x2^3 - 5*x1*x2^4 -
+      5*w(3,1)*x1*x2^4 - x2^5 - 15*x1^4*x3 - 15*w(3,1)*x1^4*x3 -
+      60*x1^3*x2*x3 + 90*w(3,1)*x1^2*x2^2*x3 + 60*x1*x2^3*x3 +
+      60*w(3,1)*x1*x2^3*x3 + 15*x2^4*x3 + 90*x1^3*x3^2 -
+      270*w(3,1)*x1^2*x2*x3^2 - 270*x1*x2^2*x3^2 - 270*w(3,1)*x1*x2^2*x3^2 -
+      90*x2^3*x3^2 + 270*w(3,1)*x1^2*x3^3 + 540*x1*x2*x3^3 +
+      540*w(3,1)*x1*x2*x3^3 + 270*x2^2*x3^3 - 405*x1*x3^4 -
+      405*w(3,1)*x1*x3^4 - 405*x2*x3^4 + 243*x3^5;
+  f2 = -6*x3^2 - 8*w(3,1)*x3^2 + 7*x2^3 + 6*w(3,1)*x2^3 - 18*x2^2*x3 +
+      3*w(3,1)*x2^2*x3 + 3*w(3,1)*x1*x3^2 - 18*w(3,1)*x2*x3^2 - 2*x3^3 -
+      3*w(3,1)*x3^3 - 3*w(3,1)*x1^4 - 12*x1^3*x2 - 12*w(3,1)*x1^3*x2 -
+      18*x1^2*x2^2 + 12*w(3,1)*x1*x2^3 + 3*x2^4 + 3*w(3,1)*x2^4 + 36*x1^3*x3
+      + 36*w(3,1)*x1^3*x3 + 108*x1^2*x2*x3 - 108*w(3,1)*x1*x2^2*x3 -
+      36*x2^3*x3 - 39*w(3,1)*x2^3*x3 - 162*x1^2*x3^2 + 324*w(3,1)*x1*x2*x3^2
+      + 171*x2^2*x3^2 + 171*w(3,1)*x2^2*x3^2 - 324*w(3,1)*x1*x3^3 -
+      333*x2*x3^3 - 324*w(3,1)*x2*x3^3 + 243*x3^4 + 240*w(3,1)*x3^4 -
+      2*w(3,1)*x1^4*x2 - 8*x1^3*x2^2 - 8*w(3,1)*x1^3*x2^2 - 12*x1^2*x2^3 +
+      8*w(3,1)*x1*x2^4 + 2*x2^5 + 2*w(3,1)*x2^5 + 2*x1^4*x3 +
+      2*w(3,1)*x1^4*x3 + 32*x1^3*x2*x3 + 24*w(3,1)*x1^3*x2*x3 +
+      72*x1^2*x2^2*x3 - 12*w(3,1)*x1^2*x2^2*x3 - 8*x1*x2^3*x3 -
+      80*w(3,1)*x1*x2^3*x3 - 26*x2^4*x3 - 24*w(3,1)*x2^4*x3 - 24*x1^3*x3^2 -
+      108*x1^2*x2*x3^2 + 72*w(3,1)*x1^2*x2*x3^2 + 72*x1*x2^2*x3^2 +
+      288*w(3,1)*x1*x2^2*x3^2 + 132*x2^3*x3^2 + 108*w(3,1)*x2^3*x3^2 -
+      108*w(3,1)*x1^2*x3^3 - 216*x1*x2*x3^3 - 432*w(3,1)*x1*x2*x3^3 -
+      324*x2^2*x3^3 - 216*w(3,1)*x2^2*x3^3 + 216*x1*x3^4 +
+      216*w(3,1)*x1*x3^4 + 378*x2*x3^4 + 162*w(3,1)*x2*x3^4 - 162*x3^5;
+  f3 = -5*x3^2 - 6*w(3,1)*x3^2 + 4*x2^3 + 3*w(3,1)*x2^3 - 9*x2^2*x3 +
+      3*w(3,1)*x2^2*x3 - 3*x2*x3^2 - 9*w(3,1)*x2*x3^2 + x3^3 - 2*w(3,1)*x1^4
+      - 8*x1^3*x2 - 8*w(3,1)*x1^3*x2 - 12*x1^2*x2^2 + 5*w(3,1)*x1*x2^3 -
+      x2^4 - w(3,1)*x2^4 + 24*x1^3*x3 + 24*w(3,1)*x1^3*x3 + 72*x1^2*x2*x3 +
+      9*x1*x2^2*x3 - 63*w(3,1)*x1*x2^2*x3 - 6*x2^3*x3 - 15*w(3,1)*x2^3*x3 -
+      108*x1^2*x3^2 - 9*x1*x2*x3^2 + 216*w(3,1)*x1*x2*x3^2 + 81*x2^2*x3^2 +
+      117*w(3,1)*x2^2*x3^2 - 219*w(3,1)*x1*x3^3 - 219*x2*x3^3 -
+      246*w(3,1)*x2*x3^3 + 171*x3^4 + 171*w(3,1)*x3^4 + 3*w(3,1)*x1^4*x3 +
+      12*x1^3*x2*x3 + 12*w(3,1)*x1^3*x2*x3 + 18*x1^2*x2^2*x3 -
+      12*w(3,1)*x1*x2^3*x3 - 3*x2^4*x3 - 3*w(3,1)*x2^4*x3 - 36*x1^3*x3^2 -
+      36*w(3,1)*x1^3*x3^2 - 108*x1^2*x2*x3^2 + 108*w(3,1)*x1*x2^2*x3^2 +
+      36*x2^3*x3^2 + 36*w(3,1)*x2^3*x3^2 + 162*x1^2*x3^3 -
+      324*w(3,1)*x1*x2*x3^3 - 162*x2^2*x3^3 - 162*w(3,1)*x2^2*x3^3 +
+      324*w(3,1)*x1*x3^4 + 324*x2*x3^4 + 324*w(3,1)*x2*x3^4 - 243*x3^5 -
+      243*w(3,1)*x3^5;
+}
+"""
+
+
+def test_engine_certificate_in_three_variables_over_zeta_3():
+    got = multiplicity(parse_germ(THREE_VARIABLES_ZETA_3).gmap)
+    assert (got.value, got.stabilized_at, got.quotient_dims) == \
+        (24, 7, (1, 4, 9, 15, 20, 23, 24, 24))
+
+
+def _unit_combination(rng, f: GermMap, modulus: int) -> GermMap:
+    """L * U * f for unit triangular L and U with random nonzero entries:
+    the same ideal, so the same order and the same Q_d, but the lowest
+    forms of the coordinates now share a zero and the engine runs."""
+    coords = list(f.embed(modulus).coords)
+    n = len(coords)
+
+    def unit():
+        c = rng.choice([1, -1, 2, -2, 3])
+        return c if modulus == 1 else \
+            root_of_unity(modulus, rng.randrange(modulus), modulus) * c
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            coords[i] = coords[i] + coords[j] * unit()
+    for i in reversed(range(n)):
+        for j in range(i):
+            coords[i] = coords[i] + coords[j] * unit()
+    return GermMap(coords)
+
+
+def _assert_quotients_match_the_definition(f: GermMap, result) -> None:
+    for d, q in enumerate(result.quotient_dims, start=1):
+        assert truncated_quotient_dim(f, d) == q
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), nvars=st.integers(2, 3),
+       max_degree=st.integers(2, 5), modulus=st.sampled_from([1, 3, 4, 6]))
+def test_engine_quotients_match_the_definition(seed, nvars, max_degree,
+                                               modulus):
+    """Every Q_d of a certificate is dim K[x]_{<d} modulo every row
+    trunc(x^a f_i, d), built in full by truncated_quotient_dim, which
+    shares no scheduling or degree bound with the engine."""
+    rng = random.Random(seed)
+    f, value = random_isolated_system(rng, nvars, max_degree)
+    g = _unit_combination(rng, f, modulus)
+    result = multiplicity(g)
+    assert result.value == value
+    _assert_quotients_match_the_definition(g, result)
+
+
+def _restarting_systems():
+    """Engine systems with d* >= 8, so the degree bound 8 is passed."""
+    systems = [f for f in _engine_systems() if multiplicity(f).stabilized_at >= 8]
+    return systems + [parse_germ(NON_RATIONAL_LEADS).gmap]
+
+
+@pytest.mark.parametrize("modulus", [1, 4])
+def test_engine_restart_keeps_the_definition(monkeypatch, modulus):
+    """Past degree 8 the engine rebuilds its echelon with a doubled degree
+    bound; the certificate is still the definition's."""
+    systems = [f.embed(modulus) if f.modulus == 1 else f
+               for f in _restarting_systems()]
+    engine = importlib.import_module("orbitdex.multiplicity")
+    runs = {"echelons": 0, "engine": 0}
+    stabilize = engine._stabilize
+
+    class Counted(engine._Echelon):
+        def __init__(self):
+            super().__init__()
+            runs["echelons"] += 1
+
+    def counted_stabilize(*args, **kwargs):
+        runs["engine"] += 1
+        return stabilize(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "_Echelon", Counted)
+    monkeypatch.setattr(engine, "_stabilize", counted_stabilize)
+    for g in systems:
+        runs.update(echelons=0, engine=0)
+        result = multiplicity(g)
+        assert result.stabilized_at >= 8
+        assert runs["echelons"] > runs["engine"]  # a rebuild ran
+        _assert_quotients_match_the_definition(g, result)
+
+
+def test_engine_cap_after_a_restart():
+    """The bound doubles only up to cap + 1, and the cap is exact: Q_12
+    repeats Q_11 on this system, so cap 11 certifies and cap 10 cannot."""
+    f = _engine_systems()[3]
+    assert multiplicity(f, degree_cap=11).quotient_dims == \
+        (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 11)
+    with pytest.raises(NotIsolatedWithinBound) as err:
+        multiplicity(f, degree_cap=10)
+    assert not err.value.definite
+
+
+def test_engine_builds_only_rows_that_can_change_q_d(monkeypatch):
+    """Step d inserts exactly the rows x^a f_i of order d - 1, none with a
+    term at degree 8 or above (the first degree bound; d* < 8 here)."""
+    engine = importlib.import_module("orbitdex.multiplicity")
+    steps = []
+
+    class Recorded(engine._Echelon):
+        def __init__(self):
+            super().__init__()
+            self.rows = []
+            steps.append([])
+
+        def insert(self, row):
+            self.rows.append(dict(row))
+            return super().insert(row)
+
+        def pivots_below(self, degree):
+            steps[-1].append((degree, self.rows))
+            self.rows = []
+            return super().pivots_below(degree)
+
+    monkeypatch.setattr(engine, "_Echelon", Recorded)
+    f = _engine_systems()[0]
+    result = multiplicity(f)
+    assert result.stabilized_at < 8
+    for run in steps:
+        for d, rows in run:
+            for row in rows:
+                assert min(map(sum, row)) == d - 1
+                assert max(map(sum, row)) < 8
+    # the last run is the engine on f itself: every x^a f_i of order at
+    # most d* is built once, and no other
+    n, orders = f.nvars, [p.lowest_form()[0] for p in f.coords]
+    built = sum(math.comb(d - 1 - o + n - 1, n - 1)
+                for o in orders for d in range(o + 1, result.stabilized_at + 2))
+    assert sum(len(rows) for _, rows in steps[-1]) == built
