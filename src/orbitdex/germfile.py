@@ -29,8 +29,9 @@ import math
 import string
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
-from .cyclotomic import root_of_unity
+from .cyclotomic import CyclotomicNumber, root_of_unity
 from .jordan import (MAX_EXPONENT, MAX_MODULUS, JordanBlock, JordanSpec,
                      global_order)
 from .polynomials import GermMap, Poly
@@ -115,6 +116,11 @@ def _tokenize(text: str) -> list[_Token]:
         raise GermParseError(f"unexpected character {ch!r}", line, col)
     tokens.append(_Token("EOF", "", line, col))
     return tokens
+
+
+# A term: an exponent tuple and its coefficient, None for 1 (the term is
+# a product of variables)
+_Term = tuple[tuple[int, ...], CyclotomicNumber | None]
 
 
 class _Parser:
@@ -231,76 +237,99 @@ class _Parser:
 
     def check_digits(self, poly: Poly, coord: _Token) -> None:
         """Refuse a coefficient with a numerator or denominator the printer
-        cannot write; the error points at the coordinate name.  The
-        printer writes each component num[k] / den in lowest terms, which
-        can be in bound when den is not."""
+        cannot write; the error points at the coordinate name."""
         for c in poly.terms.values():
-            if (c.den < _DIGIT_LIMIT
-                    and all(-_DIGIT_LIMIT < n < _DIGIT_LIMIT for n in c.num)):
-                continue
-            if any(abs(part) >= _DIGIT_LIMIT for comp in c.coeffs
-                   for part in (comp.numerator, comp.denominator)):
-                self.refuse_digits(coord)
+            self.check_coefficient(c, coord)
+
+    def check_coefficient(self, c: CyclotomicNumber, coord: _Token) -> None:
+        """Refuse c if the printer cannot write it.  The printer writes
+        each component num[k] / den in lowest terms, which can be in bound
+        when den is not."""
+        if (c.den < _DIGIT_LIMIT
+                and all(-_DIGIT_LIMIT < n < _DIGIT_LIMIT for n in c.num)):
+            return
+        if any(abs(part) >= _DIGIT_LIMIT for comp in c.coeffs
+               for part in (comp.numerator, comp.denominator)):
+            self.refuse_digits(coord)
 
     def refuse_digits(self, coord: _Token):
         self.fail(f"coordinate {coord.text} has a coefficient of more than "
                   f"{_MAX_DIGITS} digits, which cannot be printed", coord)
 
+    # A product of atoms is one monomial times one number, so each term is
+    # built as a _Term, and only the sum of a coordinate's terms is a Poly.
+
     def expr(self, spec: JordanSpec, modulus: int, coord: _Token) -> Poly:
-        n = spec.n
-        total = Poly.zero(n, modulus)
+        terms: dict[tuple, CyclotomicNumber] = {}
+        one = CyclotomicNumber.one(modulus)
         sign = 1
         tok = self.peek()
         if tok.kind in "+-":
             self.next()
             sign = -1 if tok.kind == "-" else 1
         while True:
-            total = total + self.term(spec, modulus, coord) * sign
+            mono, c = self.term(spec, modulus, coord)
+            if c is None:
+                c = one
+            if c:
+                if sign < 0:
+                    c = -c
+                prev = terms.get(mono)
+                total = c if prev is None else prev + c
+                if total:
+                    terms[mono] = total
+                else:
+                    del terms[mono]
             tok = self.peek()
             if tok.kind in "+-":
                 self.next()
                 sign = -1 if tok.kind == "-" else 1
                 continue
-            return total
+            return Poly(spec.n, modulus, terms)
 
-    def term(self, spec: JordanSpec, modulus: int, coord: _Token) -> Poly:
+    def term(self, spec: JordanSpec, modulus: int, coord: _Token) -> _Term:
         # every partial product is held under the digit bound, so no
         # product is formed from factors of more than _MAX_DIGITS digits
-        poly = self.atom(spec, modulus, coord)
-        self.check_digits(poly, coord)
+        mono, c = self.atom(spec, modulus, coord)
+        if c is not None:
+            self.check_coefficient(c, coord)
         while self.peek().kind == "*":
             self.next()
-            poly = poly * self.atom(spec, modulus, coord)
-            self.check_digits(poly, coord)
-        return poly
+            factor, d = self.atom(spec, modulus, coord)
+            mono = tuple(map(add, mono, factor))
+            if d is not None:
+                c = d if c is None else c * d
+                self.check_coefficient(c, coord)
+        return mono, c
 
-    def atom(self, spec: JordanSpec, modulus: int, coord: _Token) -> Poly:
-        base = self.primary(spec, modulus)
+    def atom(self, spec: JordanSpec, modulus: int, coord: _Token) -> _Term:
+        mono, c = self.primary(spec, modulus)
         if self.peek().kind == "^":
             self.next()
             exponent = self.expect_int("exponent")
-            # if |p| or q of a rational c = p/q is at least 2^b, the
-            # numerator or denominator of c^e is at least 2^(b*e): refuse
-            # such a power before computing it
-            for c in base.terms.values():
+            mono = tuple(e * exponent for e in mono)
+            if c is not None:
+                # if |p| or q of a rational c = p/q is at least 2^b, the
+                # numerator or denominator of c^e is at least 2^(b*e):
+                # refuse such a power before computing it
                 if c.is_rational() and exponent * (
                         max(abs(c.num[0]), c.den).bit_length() - 1) >= _LIMIT_BITS:
                     self.refuse_digits(coord)
-            base = base ** exponent
-        return base
+                c = c ** exponent
+        return mono, c
 
-    def primary(self, spec: JordanSpec, modulus: int) -> Poly:
+    def primary(self, spec: JordanSpec, modulus: int) -> _Term:
         n = spec.n
         tok = self.next()
         if tok.kind == "INT":
-            value = Fraction(self.integer(tok.text, tok))
+            value = self.integer(tok.text, tok)
             if self.peek().kind == "/":
                 self.next()
                 den = self.expect_int("denominator", maximum=_DIGIT_LIMIT - 1)
                 if den == 0:
                     self.fail("zero denominator", tok)
-                value /= den
-            return Poly.constant(value, n, modulus)
+                value = Fraction(value, den)
+            return (0,) * n, CyclotomicNumber.from_rational(value, modulus)
         if tok.kind == "NAME":
             name = tok.text
             if name == "w":
@@ -313,18 +342,17 @@ class _Parser:
                     self.fail(
                         f"root order {order} does not divide the matrix "
                         f"order {modulus}", tok)
-                return Poly.constant(root_of_unity(order, power, modulus), n, modulus)
+                return (0,) * n, root_of_unity(order, power, modulus)
             if name.startswith("L") and name[1:].isdigit():
                 j = self.integer(name[1:], tok)
                 if not 1 <= j <= spec.m:
                     self.fail(f"block index L{j} out of range 1..{spec.m}", tok)
-                lam = spec.blocks[j - 1].eigenvalue(modulus)
-                return Poly.constant(lam, n, modulus)
+                return (0,) * n, spec.blocks[j - 1].eigenvalue(modulus)
             if name.startswith("x") and name[1:].isdigit():
                 j = self.integer(name[1:], tok)
                 if not 1 <= j <= n:
                     self.fail(f"variable x{j} out of range 1..{n}", tok)
-                return Poly.variable(j - 1, n, modulus)
+                return (0,) * (j - 1) + (1,) + (0,) * (n - j), None
         self.fail(f"expected a coefficient or variable, found "
                   f"{tok.text or 'end of input'}", tok)
 

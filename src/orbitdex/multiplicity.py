@@ -16,6 +16,14 @@ Q_d with d <= top because trunc_d o trunc_top = trunc_d; top starts at 8
 and doubles, with the echelon rebuilt, whenever d reaches it without a
 repeat.
 
+Under one bound top, a monomial is keyed by one int: its degree in the
+high bits, then x_n, ..., x_1 in fields of b = top.bit_length() bits.
+Every exponent of a row cut below top is < top < 2^b, so no field
+overflows, and grevlex restricted to degree < top is then plain integer
+order; a shift by x^a is the addition of a's key, and the degree is a
+right shift.  The keys are rebuilt when top doubles, since b changes.
+The arithmetic and the pivot order are those of exponent-tuple keys.
+
 Exact closed-form reductions run first and hand the engine only small
 residual systems:
 
@@ -109,9 +117,11 @@ def _monomials_of_degree(nvars: int, degree: int):
 
 
 class _Echelon:
-    """Incremental sparse row echelon keyed by monomials, pivot = first
-    nonzero column in grevlex order; a lazy min-heap of column keys tracks
-    the leading term, so fill-in does not force a full scan per step.
+    """Incremental sparse row echelon keyed by packed monomials (see
+    _packer), pivot = least key, which is the first nonzero column in
+    grevlex order; a lazy min-heap of keys tracks the leading term, so
+    fill-in does not force a full scan per step.  A key's degree is
+    key >> degree_shift.
 
     Rows hold integral entries (see _integral_rows) and pivot leads are
     integers (see _adopt).  Elimination is fraction-free, by
@@ -121,25 +131,26 @@ class _Echelon:
 
     _STRIP_EVERY = 8
 
-    def __init__(self):
-        self.pivots: dict[tuple, dict] = {}
+    def __init__(self, degree_shift: int):
+        self.degree_shift = degree_shift
+        self.pivots: dict[int, dict] = {}
         self.pivot_degrees = Counter()
 
-    def insert(self, row: dict) -> tuple | None:
+    def insert(self, row: dict) -> int | None:
         """Reduce against current pivots; adopt as a new pivot row when a
         nonzero remainder is left.  Returns the new pivot column or None."""
         pivots = self.pivots
-        heap = [grevlex_key(m) + (m,) for m in row]
+        heap = list(row)
         heapq.heapify(heap)
         steps = 0
         while heap:
-            col = heapq.heappop(heap)[-1]
+            col = heapq.heappop(heap)
             if col not in row:
                 continue  # cancelled earlier (lazy deletion)
             prow = pivots.get(col)
             if prow is None:
                 pivots[col] = _adopt(row, col)
-                self.pivot_degrees[sum(col)] += 1
+                self.pivot_degrees[col >> self.degree_shift] += 1
                 return col
             factor = row.pop(col)
             steps += 1
@@ -154,7 +165,7 @@ class _Echelon:
                 cur = row.get(m)
                 if cur is None:
                     row[m] = -delta
-                    heapq.heappush(heap, grevlex_key(m) + (m,))
+                    heapq.heappush(heap, m)
                 else:
                     total = cur - delta
                     if total:
@@ -167,6 +178,24 @@ class _Echelon:
 
     def pivots_below(self, degree: int) -> int:
         return sum(c for d, c in self.pivot_degrees.items() if d < degree)
+
+
+def _packer(nvars: int, top: int):
+    """(pack, degree_shift): pack maps an exponent tuple of degree < top
+    to the int |m| << (n*b) | m_n << ((n-1)*b) | ... | m_1 with
+    b = top.bit_length().  Every exponent is below top < 2^b, so no field
+    overflows: integer order is grevlex order (degree first, then the
+    reversed exponents lexicographically), pack(m + a) = pack(m) + pack(a)
+    whenever |m + a| < top, and the degree is key >> (n*b)."""
+    bits = top.bit_length()
+
+    def pack(mono) -> int:
+        key = sum(mono)
+        for e in reversed(mono):
+            key = key << bits | e
+        return key
+
+    return pack, nvars * bits
 
 
 def _integral_rows(coords) -> list[dict]:
@@ -211,26 +240,31 @@ def _adopt(row: dict, col) -> dict:
     return row
 
 
-def _shift_terms(terms: dict, alpha) -> dict:
-    if not any(alpha):
-        return dict(terms)
-    return {
-        tuple(a + b for a, b in zip(alpha, mono)): coeff
-        for mono, coeff in terms.items()
-    }
+class _Run:
+    """The engine's rows and echelon under one degree bound top: rows are
+    cut below top and keyed by _packer once, and a shift by x^a is the
+    addition of a's key."""
 
+    def __init__(self, rows, orders, nvars: int, top: int):
+        pack, shift = _packer(nvars, top)
+        self.rows = [([(pack(m), c) for m, c in terms.items() if sum(m) < top],
+                      order) for terms, order in zip(rows, orders)]
+        self.nvars, self.top, self.pack = nvars, top, pack
+        self.echelon = _Echelon(shift)
 
-def _insert_step(ech: _Echelon, rows, orders, nvars: int, step: int,
-                 top: int) -> None:
-    """Insert trunc_top(x^a f_i) for every |a| = step - 1 - o_i, so each
-    row inserted at this step has order exactly step - 1."""
-    for terms, order in zip(rows, orders):
-        shift = step - 1 - order
-        if shift < 0:
-            continue
-        kept = {m: c for m, c in terms.items() if sum(m) + shift < top}
-        for alpha in _monomials_of_degree(nvars, shift):
-            ech.insert(_shift_terms(kept, alpha))
+    def insert_step(self, step: int) -> None:
+        """Insert trunc_top(x^a f_i) for every |a| = step - 1 - o_i, so each
+        row inserted at this step has order exactly step - 1."""
+        ech, top, shift = self.echelon, self.top, self.echelon.degree_shift
+        for terms, order in self.rows:
+            degree = step - 1 - order
+            if degree < 0:
+                continue
+            limit = (top - degree) << shift
+            kept = [(k, c) for k, c in terms if k < limit]
+            for alpha in _monomials_of_degree(self.nvars, degree):
+                a = self.pack(alpha)
+                ech.insert({k + a: c for k, c in kept})
 
 
 def _stabilize(coords, nvars: int, cap: int,
@@ -244,19 +278,19 @@ def _stabilize(coords, nvars: int, cap: int,
     rows = _integral_rows(coords)
     orders = [min(sum(m) for m in terms) for terms in rows]
     top = min(cap + 1, 8)
-    ech = _Echelon()
+    run = _Run(rows, orders, nvars, top)
     dims: list[int] = []
     for d in range(1, cap + 2):
-        _insert_step(ech, rows, orders, nvars, d, top)
-        q_d = math.comb(d - 1 + nvars, nvars) - ech.pivots_below(d)
+        run.insert_step(d)
+        q_d = math.comb(d - 1 + nvars, nvars) - run.echelon.pivots_below(d)
         dims.append(q_d)
         if d >= 2 and dims[-1] == dims[-2]:
             return dims[-1], d - 1, tuple(dims)
         if d == top and top <= cap:
             top = min(2 * top, cap + 1)
-            ech = _Echelon()
+            run = _Run(rows, orders, nvars, top)
             for step in range(1, d + 1):
-                _insert_step(ech, rows, orders, nvars, step, top)
+                run.insert_step(step)
     raise NotIsolatedWithinBound(cap, witness=witness, definite=False)
 
 

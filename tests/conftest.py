@@ -1,11 +1,16 @@
-"""Shared helpers: fixture discovery, seeded random samplers, and two
+"""Shared helpers: fixture discovery, seeded random samplers, two
 test-only views of the multiplicity engine (the Cronin product and one
-truncated quotient dimension)."""
+truncated quotient dimension, the latter through a reference echelon
+keyed by exponent tuples), a decoder of the engine's packed monomial
+keys, and a reference germ-term evaluator built on Poly arithmetic."""
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -13,9 +18,11 @@ from pathlib import Path
 import pytest
 
 from orbitdex import GermMap, Poly, parse_germ
-from orbitdex.multiplicity import (DEFAULT_DEGREE_CAP, _check_square,
-                                   _Echelon, _integral_rows, _lowest_isolated,
-                                   _monomials_of_degree, _shift_terms)
+from orbitdex.cyclotomic import root_of_unity
+from orbitdex.multiplicity import (DEFAULT_DEGREE_CAP, _adopt, _check_square,
+                                   _integral_rows, _lowest_isolated,
+                                   _strip_content)
+from orbitdex.polynomials import grevlex_key
 
 SEED = 20260810
 
@@ -95,6 +102,60 @@ def cronin(f: GermMap, degree_cap: int = DEFAULT_DEGREE_CAP) -> int | None:
     return math.prod(degrees) if isolated else None
 
 
+class ReferenceEchelon:
+    """The engine's fraction-free elimination with columns keyed by
+    exponent tuples, pivot = first nonzero column in grevlex order.  It
+    shares the ring helpers with the engine but none of its key layout,
+    so a fault in the packed keys cannot cancel out against it."""
+
+    _STRIP_EVERY = 8
+
+    def __init__(self):
+        self.pivots: dict[tuple, dict] = {}
+        self.pivot_degrees = Counter()
+
+    def insert(self, row: dict) -> tuple | None:
+        pivots = self.pivots
+        heap = [grevlex_key(m) + (m,) for m in row]
+        heapq.heapify(heap)
+        steps = 0
+        while heap:
+            col = heapq.heappop(heap)[-1]
+            if col not in row:
+                continue  # cancelled earlier (lazy deletion)
+            prow = pivots.get(col)
+            if prow is None:
+                pivots[col] = _adopt(row, col)
+                self.pivot_degrees[sum(col)] += 1
+                return col
+            factor = row.pop(col)
+            steps += 1
+            lead = prow[col]
+            if lead != 1:
+                for m in row:
+                    row[m] *= lead
+            for m, c in prow.items():
+                if m == col:
+                    continue
+                delta = factor * c
+                cur = row.get(m)
+                if cur is None:
+                    row[m] = -delta
+                    heapq.heappush(heap, grevlex_key(m) + (m,))
+                else:
+                    total = cur - delta
+                    if total:
+                        row[m] = total
+                    else:
+                        del row[m]
+            if steps % self._STRIP_EVERY == 0:
+                _strip_content(row)
+        return None
+
+    def pivots_below(self, degree: int) -> int:
+        return sum(c for d, c in self.pivot_degrees.items() if d < degree)
+
+
 def truncated_quotient_dim(f: GermMap, d: int) -> int:
     """dim K[x]_{<d} modulo span{ trunc(x^a f_i, d) : |a| < d }."""
     _check_square(f)
@@ -103,10 +164,48 @@ def truncated_quotient_dim(f: GermMap, d: int) -> int:
     nvars = f.nvars
     if nvars == 0:
         return 1
-    ech, rows = _Echelon(), _integral_rows(f.coords)
-    for deg in range(d):
-        for alpha in _monomials_of_degree(nvars, deg):
-            for terms in rows:
-                ech.insert({m: c for m, c in _shift_terms(terms, alpha).items()
-                            if sum(m) < d})
+    ech, rows = ReferenceEchelon(), _integral_rows(f.coords)
+    alphas = [a for a in itertools.product(range(d), repeat=nvars)
+              if sum(a) < d]
+    for alpha in sorted(alphas, key=grevlex_key):
+        for terms in rows:
+            shifted = {tuple(map(sum, zip(m, alpha))): c
+                       for m, c in terms.items()}
+            ech.insert({m: c for m, c in shifted.items() if sum(m) < d})
     return math.comb(d - 1 + nvars, nvars) - ech.pivots_below(d)
+
+
+def unpack_key(key: int, nvars: int, bits: int) -> tuple[int, ...]:
+    """The exponent tuple of a packed engine key, read field by field:
+    x1 in the lowest bits-wide field, then x2, ..., xn, and the total
+    degree above them, which must match."""
+    mask = (1 << bits) - 1
+    mono = tuple(key >> (i * bits) & mask for i in range(nvars))
+    assert key >> (nvars * bits) == sum(mono), (key, nvars, bits)
+    return mono
+
+
+def poly_of_terms(terms, spec, modulus: int) -> Poly:
+    """A coordinate written as signed products of factors, evaluated with
+    Poly arithmetic.  terms is a list of (sign, factors); a factor is
+    (atom, exponent or None), and an atom is ("int", p, q) for p/q,
+    ("w", d, r), ("L", j) or ("x", j), as in the .germ grammar."""
+    n = spec.n
+    total = Poly.zero(n, modulus)
+    for sign, factors in terms:
+        product = Poly.constant(1, n, modulus)
+        for atom, exponent in factors:
+            kind = atom[0]
+            if kind == "int":
+                value = Poly.constant(Fraction(atom[1], atom[2]), n, modulus)
+            elif kind == "w":
+                value = Poly.constant(root_of_unity(atom[1], atom[2], modulus),
+                                      n, modulus)
+            elif kind == "L":
+                value = Poly.constant(spec.blocks[atom[1] - 1].eigenvalue(modulus),
+                                      n, modulus)
+            else:
+                value = Poly.variable(atom[1] - 1, n, modulus)
+            product = product * (value if exponent is None else value ** exponent)
+        total = total + product * sign
+    return total

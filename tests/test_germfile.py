@@ -1,3 +1,4 @@
+import math
 import re
 import time
 
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 from orbitdex import (GermDocument, GermMap, GermParseError, JordanBlock,
                       JordanSpec, Poly, parse_germ, print_germ)
 from orbitdex.cyclotomic import root_of_unity
-from conftest import load_fixtures
+from orbitdex.jordan import global_order
+from conftest import load_fixtures, poly_of_terms
 
 CANONICAL = """\
 matrix {
@@ -150,6 +152,94 @@ def test_round_trip_random_documents(doc):
     printed = print_germ(doc)
     assert parse_germ(printed) == doc
     assert print_germ(parse_germ(printed)) == printed
+
+
+# -- terms: the parser against Poly arithmetic -------------------------------
+
+
+def _atom_text(atom) -> str:
+    kind = atom[0]
+    if kind == "int":
+        return str(atom[1]) if atom[2] == 1 else f"{atom[1]}/{atom[2]}"
+    if kind == "w":
+        return f"w({atom[1]},{atom[2]})"
+    return f"{kind}{atom[1]}"
+
+
+def _terms_text(terms) -> str:
+    out = []
+    for i, (sign, factors) in enumerate(terms):
+        body = "*".join(_atom_text(a) if e is None else f"{_atom_text(a)}^{e}"
+                        for a, e in factors)
+        out.append(("-" if sign < 0 else "+" if i else "") + body)
+    return " ".join(out)
+
+
+@st.composite
+def random_term_documents(draw):
+    """A matrix and, per coordinate, a list of signed products of
+    coefficients, roots w(d,r), eigenvalues L_j and variables (repeated
+    ones too), with powers including ^0, and some terms repeated with
+    the other sign and their factors reordered, so that they cancel."""
+    orders = draw(st.lists(st.sampled_from([1, 2, 3, 4, 6]),
+                           min_size=1, max_size=2, unique=True))
+    spec = JordanSpec(tuple(
+        JordanBlock(draw(st.integers(1, 2)), d, draw(st.sampled_from(
+            [p for p in range(1, d + 1) if math.gcd(p, d) == 1])))
+        for d in orders))
+    modulus = global_order(spec)
+    n = spec.n
+    atom = st.one_of(
+        st.tuples(st.just("int"), st.integers(0, 12), st.integers(1, 5)),
+        st.tuples(st.just("w"),
+                  st.sampled_from([d for d in range(1, modulus + 1)
+                                   if modulus % d == 0]),
+                  st.integers(0, 13)),
+        st.tuples(st.just("L"), st.integers(1, len(orders))),
+        st.tuples(st.just("x"), st.integers(1, n)),
+        st.tuples(st.just("x"), st.integers(1, n)))
+    factor = st.tuples(atom, st.sampled_from([None, None, 0, 1, 2, 3]))
+    variable = st.tuples(st.tuples(st.just("x"), st.integers(1, n)),
+                         st.sampled_from([None, 1, 2]))
+
+    def term():
+        factors = draw(st.lists(factor, min_size=1, max_size=4))
+        # most terms get a variable of positive degree, so that most
+        # coordinates have no constant term
+        if draw(st.integers(0, 7)):
+            factors.insert(draw(st.integers(0, len(factors))), draw(variable))
+        return draw(st.sampled_from([1, -1])), factors
+
+    coords = []
+    for _ in range(n):
+        terms = [term() for _ in range(draw(st.integers(1, 6)))]
+        for sign, factors in draw(st.lists(st.sampled_from(terms), max_size=2)):
+            terms.append((-sign, draw(st.permutations(factors))))
+        coords.append(draw(st.permutations(terms)))
+    return spec, modulus, coords
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_term_documents())
+def test_parsed_terms_match_poly_arithmetic(case):
+    spec, modulus, coords = case
+    matrix = "\n".join(f"block {{ size = {b.size}, order = {b.order}, "
+                       f"power = {b.power} }}" for b in spec.blocks)
+    body = "\n".join(f"f{j + 1} = {_terms_text(terms)};"
+                     for j, terms in enumerate(coords))
+    text = f"matrix {{\n{matrix}\n}}\nmap {{\n{body}\n}}\n"
+    want = [poly_of_terms(terms, spec, modulus) for terms in coords]
+    constant = next((j for j, p in enumerate(want)
+                     if not p.constant_term().is_zero()), None)
+    if constant is not None:
+        with pytest.raises(GermParseError,
+                           match=f"coordinate f{constant + 1} has a nonzero "
+                                 f"constant term"):
+            parse_germ(text)
+        return
+    doc = parse_germ(text)
+    assert doc.modulus == modulus
+    assert list(doc.gmap.coords) == want
 
 
 # -- parser fuzzing: whatever the text, the only failure is GermParseError ----

@@ -1,3 +1,4 @@
+import functools
 import importlib
 import math
 import random
@@ -11,9 +12,10 @@ from hypothesis import strategies as st
 from orbitdex import (GermMap, NotIsolatedWithinBound, Poly, multiplicity,
                       parse_germ)
 from orbitdex.cyclotomic import root_of_unity
-from orbitdex.polynomials import variables
+from orbitdex.multiplicity import _packer
+from orbitdex.polynomials import grevlex_key, variables
 from conftest import (cronin, random_isolated_system, random_poly,
-                      truncated_quotient_dim)
+                      truncated_quotient_dim, unpack_key)
 
 
 def system(*coords):
@@ -341,12 +343,69 @@ def test_engine_certificate_with_non_rational_pivot_leads():
         (20, 8, (1, 3, 6, 10, 14, 17, 19, 20, 20))
 
 
+def _recording_nvars(monkeypatch, engine) -> list[int]:
+    """Wrap the engine so that the returned list ends with the number of
+    variables of the system it is running on."""
+    layout = []
+    stabilize = engine._stabilize
+
+    def recording_stabilize(coords, nvars, *args, **kwargs):
+        layout.append(nvars)
+        return stabilize(coords, nvars, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "_stabilize", recording_stabilize)
+    return layout
+
+
+def _decoded(row, echelon, layout) -> list[tuple[int, ...]]:
+    """The exponent tuples of a row's packed keys, in the row's key
+    order, decoded field by field by conftest.unpack_key."""
+    nvars = layout[-1]
+    return [unpack_key(k, nvars, echelon.degree_shift // nvars)
+            for k in sorted(row)]
+
+
+@functools.lru_cache(maxsize=None)
+def _monomials_below(nvars: int, top: int) -> tuple[tuple[int, ...], ...]:
+    """Every exponent tuple in nvars variables of degree < top."""
+    if nvars == 0:
+        return ((),)
+    return tuple((e,) + rest for rest in _monomials_below(nvars - 1, top)
+                 for e in range(top - sum(rest)))
+
+
+@pytest.mark.parametrize("top", [2, 8, 16, 33])
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+def test_packed_keys_sort_like_grevlex(nvars, top):
+    """On every monomial of degree < top, the engine's keys sort like
+    grevlex_key, the degree reads off by a shift, and conftest's
+    field-by-field decoder inverts them."""
+    pack, shift = _packer(nvars, top)
+    monos = _monomials_below(nvars, top)
+    assert sorted(monos, key=pack) == sorted(monos, key=grevlex_key)
+    for m in monos:
+        key = pack(m)
+        assert key >> shift == sum(m)
+        assert unpack_key(key, nvars, shift // nvars) == m
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data(), nvars=st.integers(1, 4),
+       top=st.sampled_from([2, 8, 16, 33]))
+def test_packed_keys_add_under_shifts(data, nvars, top):
+    """A shift by x^a is a key addition while the degree stays < top."""
+    pack, _ = _packer(nvars, top)
+    m = data.draw(st.sampled_from(_monomials_below(nvars, top)))
+    a = data.draw(st.sampled_from(_monomials_below(nvars, top - sum(m))))
+    assert pack(m) + pack(a) == pack(tuple(x + y for x, y in zip(m, a)))
+
+
 def test_engine_pivot_rows_are_integral_with_integer_leads(monkeypatch):
     """Every pivot row has integral entries and content 1, and its lead is
     an integer, over Q and over Q(zeta_M) alike.  A pivot row is never
     changed once adopted, so each is checked as it is adopted."""
     engine = importlib.import_module("orbitdex.multiplicity")
-    leads = []
+    leads, layout = [], _recording_nvars(monkeypatch, engine)
 
     class Checked(engine._Echelon):
         def insert(self, row):
@@ -361,6 +420,11 @@ def test_engine_pivot_rows_are_integral_with_integer_leads(monkeypatch):
                         coords.extend(c.num)
                 assert math.gcd(*coords) == 1
                 assert isinstance(pivot[col], int) or pivot[col].is_rational()
+                # the lead is the least key, and the grevlex-first
+                # monomial of the row
+                monos = _decoded(pivot, self, layout)
+                assert col == min(pivot)
+                assert monos[0] == min(monos, key=grevlex_key)
             return col
 
     adopt = engine._adopt
@@ -504,8 +568,8 @@ def test_engine_restart_keeps_the_definition(monkeypatch, modulus):
     stabilize = engine._stabilize
 
     class Counted(engine._Echelon):
-        def __init__(self):
-            super().__init__()
+        def __init__(self, *args):
+            super().__init__(*args)
             runs["echelons"] += 1
 
     def counted_stabilize(*args, **kwargs):
@@ -537,16 +601,16 @@ def test_engine_builds_only_rows_that_can_change_q_d(monkeypatch):
     """Step d inserts exactly the rows x^a f_i of order d - 1, none with a
     term at degree 8 or above (the first degree bound; d* < 8 here)."""
     engine = importlib.import_module("orbitdex.multiplicity")
-    steps = []
+    steps, layout = [], _recording_nvars(monkeypatch, engine)
 
     class Recorded(engine._Echelon):
-        def __init__(self):
-            super().__init__()
+        def __init__(self, *args):
+            super().__init__(*args)
             self.rows = []
             steps.append([])
 
         def insert(self, row):
-            self.rows.append(dict(row))
+            self.rows.append(_decoded(row, self, layout))
             return super().insert(row)
 
         def pivots_below(self, degree):
