@@ -3,13 +3,15 @@
 Exit codes: 0 success, 1 domain or validation failure, 2 usage/parse
 error.  --json output is deterministic (stable keys; the timing field is
 suppressed by --no-timing); integers outside the 53-bit safe range are
-rendered as decimal strings.  A refusal (ValueError) that reaches main
-still prints a {"ok": false, "reason": ...} payload under --json.
+rendered as decimal strings.  Every exit-1 failure prints a
+{"ok": false, "reason": ...} payload under --json, including a refusal
+(ValueError) or a ConsistencyError that reaches main.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -21,8 +23,8 @@ from .jordan import (SequenceTarget, bounded_order, is_admissible,
                      parse_inline_matrix, period_set)
 from .multiplicity import (DEFAULT_DEGREE_CAP, NotIsolatedWithinBound,
                            multiplicity)
-from .orbits import (DIRECT_CHECK_TERM_LIMIT, ConsistencyError,
-                     direct_iterate_index, fixed_point_index, orbit_spectrum)
+from .orbits import (ConsistencyError, direct_iterate_index,
+                     fixed_point_index, orbit_spectrum)
 from .polynomials import TermBudgetExceeded
 from .resonance import strip_eigenvalues, validate_rnf
 from .universality import (is_universal, normalized_target, realize,
@@ -74,6 +76,12 @@ class _Reporter:
                 print(line)
 
 
+def _fail(rep: _Reporter, reason: str, **extra) -> int:
+    rep.say(f"FAIL: {reason}")
+    rep.emit({"ok": False, "reason": reason, **extra})
+    return 1
+
+
 def _load_document(path: str, reporter: _Reporter) -> GermDocument:
     data = Path(path).read_bytes()
     reporter.input_digest(data)
@@ -84,9 +92,7 @@ def _cmd_check(args, rep: _Reporter) -> int:
     doc = _load_document(args.file, rep)
     verdict = validate_rnf(doc.matrix, doc.gmap)
     if not verdict.ok:
-        rep.say(f"FAIL: {verdict.describe()}")
-        rep.emit({"ok": False, "reason": verdict.describe()})
-        return 1
+        return _fail(rep, verdict.describe())
     # at q = M the mask selects every coordinate, so the full-period
     # order is that of the whole stripped map
     try:
@@ -107,10 +113,7 @@ def _cmd_mult(args, rep: _Reporter) -> int:
     try:
         result = multiplicity(target, degree_cap=args.degree_cap)
     except NotIsolatedWithinBound as exc:
-        rep.say(f"FAIL: {exc}")
-        rep.emit({"ok": False, "reason": str(exc),
-                  "definite": exc.definite})
-        return 1
+        return _fail(rep, str(exc), definite=exc.definite)
     rep.say(str(result.value))
     rep.emit({
         "ok": True,
@@ -134,11 +137,7 @@ def _cmd_index(args, rep: _Reporter) -> int:
                 doc.gmap, args.q, degree_cap=args.degree_cap,
                 hint=results.get("projection"))
     except (NotIsolatedWithinBound, ValueError, TermBudgetExceeded) as exc:
-        reason = (f"direct composition past {DIRECT_CHECK_TERM_LIMIT} terms"
-                  if isinstance(exc, TermBudgetExceeded) else str(exc))
-        rep.say(f"FAIL: {reason}")
-        rep.emit({"ok": False, "reason": reason})
-        return 1
+        return _fail(rep, str(exc))
     agree = len(set(results.values())) == 1
     value = next(iter(results.values()))
     rep.say(str(value) if agree else f"DISAGREE: {results}")
@@ -153,9 +152,7 @@ def _cmd_spectrum(args, rep: _Reporter) -> int:
                             cross_check=not args.no_cross_check,
                             degree_cap=args.degree_cap)
     except (NotIsolatedWithinBound, ValueError, ConsistencyError) as exc:
-        rep.say(f"FAIL: {exc}")
-        rep.emit({"ok": False, "reason": str(exc)})
-        return 1
+        return _fail(rep, str(exc))
     rep.say("pe: " + " ".join(str(q) for q in sp.pe))
     rep.say("counts: " + " ".join(f"{q}:{v}" for q, v in sorted(sp.counts.items())))
     rep.say("mu: " + " ".join(f"{q}:{v}" for q, v in sorted(sp.mu.items())))
@@ -220,9 +217,7 @@ def _cmd_realize(args, rep: _Reporter) -> int:
     try:
         doc = realize(spec, target, degree_cap=args.degree_cap_arg)
     except ValueError as exc:
-        rep.say(f"FAIL: {exc}")
-        rep.emit({"ok": False, "reason": str(exc)})
-        return 1
+        return _fail(rep, str(exc))
     text = print_germ(doc)
     if args.output:
         Path(args.output).write_text(text)
@@ -241,9 +236,7 @@ def _cmd_lemma42(args, rep: _Reporter) -> int:
     try:
         witness = residue_search(moduli, powers)
     except ValueError as exc:
-        rep.say(f"FAIL: {exc}")
-        rep.emit({"ok": False, "reason": str(exc)})
-        return 1
+        return _fail(rep, str(exc))
     rep.say(f"k = {witness.k}; residues = {list(witness.residues)}; "
             f"product = {witness.product} <= bound {witness.bound}")
     rep.emit({
@@ -306,7 +299,10 @@ def _cmd_paper_suite(args, rep: _Reporter) -> int:
     return 1 if failures else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use; parse_args leaves it
+    unchanged, so one serves every call of main."""
     parser = argparse.ArgumentParser(
         prog="orbitdex",
         description="Exact multiplicities, iterate indices, hidden orbit "
@@ -394,8 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     args.degree_cap = (DEFAULT_DEGREE_CAP if args.degree_cap_arg is None
                        else args.degree_cap_arg)
     rep = _Reporter(args)
@@ -407,12 +402,11 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, ConsistencyError) as exc:
+        kind = ("internal consistency error"
+                if isinstance(exc, ConsistencyError) else "error")
+        print(f"{kind}: {exc}", file=sys.stderr)
         rep.emit({"ok": False, "reason": str(exc)})
-        return 1
-    except ConsistencyError as exc:
-        print(f"internal consistency error: {exc}", file=sys.stderr)
         return 1
 
 

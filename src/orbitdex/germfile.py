@@ -26,7 +26,7 @@ reproduces the document.
 from __future__ import annotations
 
 import math
-import string
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
@@ -56,66 +56,45 @@ class GermDocument:
 
 # -- tokenizer ----------------------------------------------------------------
 
-_SYMBOLS = "{}=,;+-*/^()"
 # Python's default limit on int <-> str conversion; integers below
 # _DIGIT_LIMIT have at most _MAX_DIGITS decimal digits
 _MAX_DIGITS = 4300
 _DIGIT_LIMIT = 10**_MAX_DIGITS
 _LIMIT_BITS = _DIGIT_LIMIT.bit_length()   # 2^_LIMIT_BITS > _DIGIT_LIMIT
-_DIGITS = string.digits
-_NAME_START = string.ascii_letters + "_"
-_NAME_CHARS = _NAME_START + _DIGITS
+
+# Blanks and comments, then one token.  A comment that ends the text has
+# no newline, so it is read as part of the end of input, which then sits
+# at its '#'; any other character is an error.
+_TOKEN = re.compile(r"""
+    (?:[ \t\r\n]|\#[^\n]*\n)*
+    (?: (?P<INT>[0-9]+)
+      | (?P<NAME>[A-Za-z_][A-Za-z_0-9]*)
+      | (?P<SYMBOL>[{}=,;+\-*/^()])
+      | (?P<EOF>(?:\#[^\n]*)?\Z)
+      | (?P<BAD>.) )""", re.VERBOSE | re.DOTALL)
+
+# (kind, text, offset); the kind of a symbol is the symbol itself
+_Token = tuple[str, str, int]
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # INT | NAME | symbol | EOF
-    text: str
-    line: int
-    col: int
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """1-based (line, col) of a character offset."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch in _DIGITS:
-            start = i
-            while i < n and text[i] in _DIGITS:
-                i += 1
-            tokens.append(_Token("INT", text[start:i], line, col))
-            col += i - start
-            continue
-        if ch in _NAME_START:
-            start = i
-            while i < n and text[i] in _NAME_CHARS:
-                i += 1
-            tokens.append(_Token("NAME", text[start:i], line, col))
-            col += i - start
-            continue
-        if ch in _SYMBOLS:
-            tokens.append(_Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise GermParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("EOF", "", line, col))
-    return tokens
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        offset = match.start(kind)
+        if kind == "EOF":
+            tokens.append(("EOF", "", offset))
+            return tokens
+        token = match[kind]
+        if kind == "BAD":
+            raise GermParseError(f"unexpected character {token!r}",
+                                 *_position(text, offset))
+        tokens.append((token if kind == "SYMBOL" else kind, token, offset))
 
 
 # A term: an exponent tuple and its coefficient, None for 1 (the term is
@@ -124,12 +103,18 @@ _Term = tuple[tuple[int, ...], CyclotomicNumber | None]
 
 
 class _Parser:
+    """Recursive descent over the tokens; spec, modulus and coord (the
+    name token of the coordinate being read) are set as the document is
+    read."""
+
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def peek(self) -> str:
+        """The kind of the next token."""
+        return self.tokens[self.pos][0]
 
     def next(self) -> _Token:
         tok = self.tokens[self.pos]
@@ -137,19 +122,19 @@ class _Parser:
         return tok
 
     def fail(self, message: str, tok: _Token | None = None):
-        tok = tok or self.peek()
-        raise GermParseError(message, tok.line, tok.col)
+        offset = (tok or self.tokens[self.pos])[2]
+        raise GermParseError(message, *_position(self.text, offset))
 
     def expect(self, kind: str, what: str | None = None) -> _Token:
         tok = self.next()
-        if tok.kind != kind:
-            self.fail(f"expected {what or kind}, found {tok.text or 'end of input'}", tok)
+        if tok[0] != kind:
+            self.fail(f"expected {what or kind}, found {tok[1] or 'end of input'}", tok)
         return tok
 
     def expect_name(self, name: str) -> _Token:
         tok = self.next()
-        if tok.kind != "NAME" or tok.text != name:
-            self.fail(f"expected '{name}', found {tok.text or 'end of input'}", tok)
+        if tok[0] != "NAME" or tok[1] != name:
+            self.fail(f"expected '{name}', found {tok[1] or 'end of input'}", tok)
         return tok
 
     def integer(self, digits: str, tok: _Token) -> int:
@@ -160,7 +145,7 @@ class _Parser:
 
     def expect_int(self, what: str, maximum: int = MAX_EXPONENT) -> int:
         tok = self.expect("INT", what)
-        value = self.integer(tok.text, tok)
+        value = self.integer(tok[1], tok)
         if value > maximum:
             self.fail(f"{what} {value} exceeds the supported bound {maximum}", tok)
         return value
@@ -168,19 +153,20 @@ class _Parser:
     # -- grammar ---------------------------------------------------------
 
     def document(self) -> GermDocument:
-        spec = self.matrix_block()
-        modulus = global_order(spec)
-        coords = self.map_block(spec, modulus)
+        self.spec = self.matrix_block()
+        self.modulus = global_order(self.spec)
+        coords = self.map_block()
         self.expect("EOF", "end of input")
-        return GermDocument(spec, GermMap(coords, nvars=spec.n, modulus=modulus))
+        return GermDocument(self.spec, GermMap(coords, nvars=self.spec.n,
+                                               modulus=self.modulus))
 
     def matrix_block(self) -> JordanSpec:
         self.expect_name("matrix")
         self.expect("{")
         blocks = []
         modulus = 1
-        while self.peek().kind == "NAME" and self.peek().text == "block":
-            tok = self.peek()
+        while self.tokens[self.pos][:2] == ("NAME", "block"):
+            tok = self.tokens[self.pos]
             blocks.append(self.block_decl())
             modulus = math.lcm(modulus, blocks[-1].order)
             if modulus > MAX_MODULUS:
@@ -207,14 +193,16 @@ class _Parser:
         except ValueError as exc:
             self.fail(str(exc), tok)
 
-    def map_block(self, spec: JordanSpec, modulus: int):
+    def map_block(self) -> list[Poly]:
+        """The coordinates; each coefficient must be one the printer can
+        write, and the error points at the coordinate name."""
         self.expect_name("map")
         self.expect("{")
-        n = spec.n
+        n = self.spec.n
         coords: dict[int, Poly] = {}
-        while not (self.peek().kind == "}"):
-            tok = self.expect("NAME", "a coordinate name f1..f%d" % n)
-            name = tok.text
+        while self.peek() != "}":
+            tok = self.coord = self.expect("NAME", "a coordinate name f1..f%d" % n)
+            name = tok[1]
             if not (name.startswith("f") and name[1:].isdigit()):
                 self.fail(f"expected a coordinate name f1..f{n}", tok)
             index = self.integer(name[1:], tok)
@@ -223,11 +211,12 @@ class _Parser:
             if index - 1 in coords:
                 self.fail(f"duplicate coordinate {name}", tok)
             self.expect("=")
-            poly = self.expr(spec, modulus, tok)
+            poly = self.expr()
             self.expect(";")
             if not poly.constant_term().is_zero():
                 self.fail(f"coordinate {name} has a nonzero constant term", tok)
-            self.check_digits(poly, tok)
+            for c in poly.terms.values():
+                self.check_coefficient(c)
             coords[index - 1] = poly
         self.expect("}")
         missing = [f"f{j + 1}" for j in range(n) if j not in coords]
@@ -235,13 +224,7 @@ class _Parser:
             self.fail(f"missing coordinate(s) {', '.join(missing)}")
         return [coords[j] for j in range(n)]
 
-    def check_digits(self, poly: Poly, coord: _Token) -> None:
-        """Refuse a coefficient with a numerator or denominator the printer
-        cannot write; the error points at the coordinate name."""
-        for c in poly.terms.values():
-            self.check_coefficient(c, coord)
-
-    def check_coefficient(self, c: CyclotomicNumber, coord: _Token) -> None:
+    def check_coefficient(self, c: CyclotomicNumber) -> None:
         """Refuse c if the printer cannot write it.  The printer writes
         each component num[k] / den in lowest terms, which can be in bound
         when den is not."""
@@ -250,25 +233,26 @@ class _Parser:
             return
         if any(abs(part) >= _DIGIT_LIMIT for comp in c.coeffs
                for part in (comp.numerator, comp.denominator)):
-            self.refuse_digits(coord)
+            self.refuse_digits()
 
-    def refuse_digits(self, coord: _Token):
-        self.fail(f"coordinate {coord.text} has a coefficient of more than "
-                  f"{_MAX_DIGITS} digits, which cannot be printed", coord)
+    def refuse_digits(self):
+        self.fail(f"coordinate {self.coord[1]} has a coefficient of more "
+                  f"than {_MAX_DIGITS} digits, which cannot be printed",
+                  self.coord)
 
     # A product of atoms is one monomial times one number, so each term is
     # built as a _Term, and only the sum of a coordinate's terms is a Poly.
 
-    def expr(self, spec: JordanSpec, modulus: int, coord: _Token) -> Poly:
+    def expr(self) -> Poly:
         terms: dict[tuple, CyclotomicNumber] = {}
-        one = CyclotomicNumber.one(modulus)
+        one = CyclotomicNumber.one(self.modulus)
         sign = 1
-        tok = self.peek()
-        if tok.kind in "+-":
+        kind = self.peek()
+        if kind in "+-":
             self.next()
-            sign = -1 if tok.kind == "-" else 1
+            sign = -1 if kind == "-" else 1
         while True:
-            mono, c = self.term(spec, modulus, coord)
+            mono, c = self.term()
             if c is None:
                 c = one
             if c:
@@ -280,31 +264,31 @@ class _Parser:
                     terms[mono] = total
                 else:
                     del terms[mono]
-            tok = self.peek()
-            if tok.kind in "+-":
+            kind = self.peek()
+            if kind in "+-":
                 self.next()
-                sign = -1 if tok.kind == "-" else 1
+                sign = -1 if kind == "-" else 1
                 continue
-            return Poly(spec.n, modulus, terms)
+            return Poly(self.spec.n, self.modulus, terms)
 
-    def term(self, spec: JordanSpec, modulus: int, coord: _Token) -> _Term:
+    def term(self) -> _Term:
         # every partial product is held under the digit bound, so no
         # product is formed from factors of more than _MAX_DIGITS digits
-        mono, c = self.atom(spec, modulus, coord)
+        mono, c = self.atom()
         if c is not None:
-            self.check_coefficient(c, coord)
-        while self.peek().kind == "*":
+            self.check_coefficient(c)
+        while self.peek() == "*":
             self.next()
-            factor, d = self.atom(spec, modulus, coord)
+            factor, d = self.atom()
             mono = tuple(map(add, mono, factor))
             if d is not None:
                 c = d if c is None else c * d
-                self.check_coefficient(c, coord)
+                self.check_coefficient(c)
         return mono, c
 
-    def atom(self, spec: JordanSpec, modulus: int, coord: _Token) -> _Term:
-        mono, c = self.primary(spec, modulus)
-        if self.peek().kind == "^":
+    def atom(self) -> _Term:
+        mono, c = self.primary()
+        if self.peek() == "^":
             self.next()
             exponent = self.expect_int("exponent")
             mono = tuple(e * exponent for e in mono)
@@ -314,24 +298,25 @@ class _Parser:
                 # refuse such a power before computing it
                 if c.is_rational() and exponent * (
                         max(abs(c.num[0]), c.den).bit_length() - 1) >= _LIMIT_BITS:
-                    self.refuse_digits(coord)
+                    self.refuse_digits()
                 c = c ** exponent
         return mono, c
 
-    def primary(self, spec: JordanSpec, modulus: int) -> _Term:
+    def primary(self) -> _Term:
+        spec, modulus = self.spec, self.modulus
         n = spec.n
         tok = self.next()
-        if tok.kind == "INT":
-            value = self.integer(tok.text, tok)
-            if self.peek().kind == "/":
+        kind, name, _ = tok
+        if kind == "INT":
+            value = self.integer(name, tok)
+            if self.peek() == "/":
                 self.next()
                 den = self.expect_int("denominator", maximum=_DIGIT_LIMIT - 1)
                 if den == 0:
                     self.fail("zero denominator", tok)
                 value = Fraction(value, den)
             return (0,) * n, CyclotomicNumber.from_rational(value, modulus)
-        if tok.kind == "NAME":
-            name = tok.text
+        if kind == "NAME":
             if name == "w":
                 self.expect("(")
                 order = self.expect_int("root order")
@@ -354,7 +339,7 @@ class _Parser:
                     self.fail(f"variable x{j} out of range 1..{n}", tok)
                 return (0,) * (j - 1) + (1,) + (0,) * (n - j), None
         self.fail(f"expected a coefficient or variable, found "
-                  f"{tok.text or 'end of input'}", tok)
+                  f"{name or 'end of input'}", tok)
 
 
 def parse_germ(text: str) -> GermDocument:

@@ -74,16 +74,21 @@ def direct_iterate_index(f: GermMap, q: int, degree_cap: int = DEFAULT_DEGREE_CA
     until the computed order is < D; a germ whose low jet matches f^q - id
     up to its own order has the same order, so the result is exact.  A
     product of more than DIRECT_CHECK_TERM_LIMIT terms raises
-    TermBudgetExceeded.  The multiplicity computed after the composition
-    has no such budget, but its engine reads each row of f^q - id only
-    below a degree bound that doubles from 8, and builds a row only at the
-    step where its order can change Q_d, so it costs what the order needs,
-    not what the composition holds.
+    TermBudgetExceeded, whose message is the reason callers report.  The
+    multiplicity computed after the composition has no such budget, but
+    its engine reads each row of f^q - id only below a degree bound that
+    doubles from 8, and builds a row only at the step where its order can
+    change Q_d, so it costs what the order needs, not what the composition
+    holds.
     """
     start = max(4, hint + 2 if hint is not None else 8)
     trunc = start
     while trunc <= max(degree_cap * 4, start):
-        g = f.iterate(q, trunc=trunc, term_limit=DIRECT_CHECK_TERM_LIMIT)
+        try:
+            g = f.iterate(q, trunc=trunc, term_limit=DIRECT_CHECK_TERM_LIMIT)
+        except TermBudgetExceeded as exc:
+            raise TermBudgetExceeded(f"direct composition past "
+                                     f"{DIRECT_CHECK_TERM_LIMIT} terms") from exc
         try:
             value = multiplicity(g.minus_identity(), degree_cap=trunc).value
         except NotIsolatedWithinBound as exc:
@@ -262,9 +267,8 @@ def orbit_spectrum(spec: JordanSpec, f: GermMap, cross_check: bool = True,
                     continue
             try:
                 direct = direct_iterate_index(f, q, degree_cap, hint=mu[q])
-            except TermBudgetExceeded:
-                unchecked[q] = (f"direct composition past "
-                                f"{DIRECT_CHECK_TERM_LIMIT} terms")
+            except TermBudgetExceeded as exc:
+                unchecked[q] = str(exc)
                 continue
             if direct != mu[q]:
                 raise ConsistencyError(

@@ -28,7 +28,6 @@ from .jordan import (MAX_EXPONENT, JordanSpec, SequenceTarget, bounded_order,
 from .multiplicity import DEFAULT_DEGREE_CAP
 from .orbits import ConsistencyError, orbit_spectrum
 from .polynomials import GermMap, Poly
-from .resonance import validate_rnf
 
 
 def chain_check(blocks) -> bool:
@@ -342,17 +341,15 @@ def realize(spec: JordanSpec, target: SequenceTarget,
     if top > MAX_EXPONENT:
         raise ValueError(f"the constructed germ needs exponent {top}, which "
                          f"exceeds the supported bound {MAX_EXPONENT}")
-
-    check = validate_rnf(spec, germ)
-    if not check.ok:
-        raise ConsistencyError(
-            f"constructed germ is not in normal form: {check.describe()}; "
-            f"germ = {germ!r}")
     if degree_cap is None:
         degree_cap = max(DEFAULT_DEGREE_CAP,
                          sum(q * a for q, a in want.items()) + 4)
-    spectrum = orbit_spectrum(spec, germ, cross_check=False,
-                              degree_cap=degree_cap)
+    try:
+        spectrum = orbit_spectrum(spec, germ, cross_check=False,
+                                  degree_cap=degree_cap)
+    except ValueError as exc:  # the spectrum checks the normal form
+        raise ConsistencyError(
+            f"constructed germ: {exc}; germ = {germ!r}") from exc
     if spectrum.counts != want:
         raise ConsistencyError(
             f"constructed germ realizes {spectrum.counts}, wanted {want}; "

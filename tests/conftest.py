@@ -2,7 +2,8 @@
 test-only views of the multiplicity engine (the Cronin product and one
 truncated quotient dimension, the latter through a reference echelon
 keyed by exponent tuples), a decoder of the engine's packed monomial
-keys, and a reference germ-term evaluator built on Poly arithmetic."""
+keys, a reference germ-term evaluator built on Poly arithmetic, and the
+character-at-a-time .germ tokenizer that the regex tokenizer replaced."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import heapq
 import itertools
 import math
 import random
+import string
 from collections import Counter
 from fractions import Fraction
 from importlib import resources
@@ -17,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from orbitdex import GermMap, Poly, parse_germ
+from orbitdex import GermMap, GermParseError, Poly, parse_germ
 from orbitdex.cyclotomic import root_of_unity
 from orbitdex.multiplicity import (DEFAULT_DEGREE_CAP, _adopt, _check_square,
                                    _integral_rows, _lowest_isolated,
@@ -209,3 +211,55 @@ def poly_of_terms(terms, spec, modulus: int) -> Poly:
             product = product * (value if exponent is None else value ** exponent)
         total = total + product * sign
     return total
+
+
+_SYMBOLS = "{}=,;+-*/^()"
+_DIGITS = string.digits
+_NAME_START = string.ascii_letters + "_"
+_NAME_CHARS = _NAME_START + _DIGITS
+
+
+def reference_tokenize(text: str) -> list[tuple[str, str, int, int]]:
+    """(kind, text, line, col) of each .germ token, read one character at
+    a time; a comment that ends the text leaves the end of input at its
+    '#'."""
+    tokens = []
+    line, col = 1, 1
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if ch in _DIGITS:
+            start = i
+            while i < n and text[i] in _DIGITS:
+                i += 1
+            tokens.append(("INT", text[start:i], line, col))
+            col += i - start
+            continue
+        if ch in _NAME_START:
+            start = i
+            while i < n and text[i] in _NAME_CHARS:
+                i += 1
+            tokens.append(("NAME", text[start:i], line, col))
+            col += i - start
+            continue
+        if ch in _SYMBOLS:
+            tokens.append((ch, ch, line, col))
+            i += 1
+            col += 1
+            continue
+        raise GermParseError(f"unexpected character {ch!r}", line, col)
+    tokens.append(("EOF", "", line, col))
+    return tokens

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from orbitdex import parse_germ, resonance
+from orbitdex import ConsistencyError, cli, parse_germ, resonance
 from orbitdex.cli import main
 from conftest import fixture_dir
 
@@ -105,7 +105,8 @@ def test_check_ok(capsys, worked):
     assert code == 0 and "OK" in out
 
 
-def test_check_validates_the_normal_form_once(capsys, worked, monkeypatch):
+def _count_normal_form_checks(monkeypatch) -> list:
+    """Count validate_rnf calls through every orbitdex module that holds it."""
     calls = []
 
     def counted(*args):
@@ -117,9 +118,30 @@ def test_check_validates_the_normal_form_once(capsys, worked, monkeypatch):
         if (module.__name__.startswith("orbitdex")
                 and getattr(module, "validate_rnf", None) is original):
             monkeypatch.setattr(module, "validate_rnf", counted)
+    return calls
+
+
+def test_check_validates_the_normal_form_once(capsys, worked, monkeypatch):
+    calls = _count_normal_form_checks(monkeypatch)
     code, out, _ = run(capsys, "check", worked)
     assert code == 0 and "full-period order 12" in out
     assert len(calls) == 1
+
+
+def test_realize_validates_the_normal_form_once(capsys, monkeypatch):
+    calls = _count_normal_form_checks(monkeypatch)
+    code, out, _ = run(capsys, "realize", "[(1,2,1);(1,6,1)]",
+                       "--seq", "1:1,2:2,6:3")
+    assert code == 0 and "map {" in out
+    assert len(calls) == 1
+
+
+def test_parser_keeps_no_state_between_calls(capsys, worked):
+    code, out, _ = run(capsys, "check", worked, "--json", "--no-timing")
+    assert code == 0 and json.loads(out)["results"]["full_order"] == 12
+    code, out, _ = run(capsys, "check", worked)
+    assert code == 0
+    assert out == "OK: resonant normal form; full-period order 12\n"
 
 
 def test_check_reports_non_resonant_term(capsys, tmp_path):
@@ -401,6 +423,21 @@ def test_realize_refuses_an_exponent_the_parser_refuses(
         "ok": False,
         "reason": f"the constructed germ needs exponent {exponent}, which "
                   f"exceeds the supported bound 1000000"}
+
+
+def test_consistency_error_prints_a_payload(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ConsistencyError("constructed germ realizes {1: 2}, wanted {1: 1}")
+
+    monkeypatch.setattr(cli, "realize", broken)
+    code, out, err = run(capsys, "--json", "--no-timing", "realize",
+                         "[(1,1,1)]", "--seq", "1:1")
+    assert code == 1
+    assert json.loads(out)["results"] == {
+        "ok": False,
+        "reason": "constructed germ realizes {1: 2}, wanted {1: 1}"}
+    assert err == ("internal consistency error: constructed germ realizes "
+                   "{1: 2}, wanted {1: 1}\n")
 
 
 def test_realize_at_the_exponent_bound_parses_back(capsys, tmp_path):

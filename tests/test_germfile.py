@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from orbitdex import (GermDocument, GermMap, GermParseError, JordanBlock,
                       JordanSpec, Poly, parse_germ, print_germ)
 from orbitdex.cyclotomic import root_of_unity
+from orbitdex.germfile import _position, _tokenize
 from orbitdex.jordan import global_order
-from conftest import load_fixtures, poly_of_terms
+from conftest import load_fixtures, poly_of_terms, reference_tokenize
 
 CANONICAL = """\
 matrix {
@@ -368,3 +369,26 @@ def test_parser_raises_only_parse_errors(text):
         parse_germ(text)
     except GermParseError:
         pass
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except GermParseError as exc:
+        return str(exc)
+
+
+def _positioned_tokens(text):
+    return [(kind, token, *_position(text, offset))
+            for kind, token, offset in _tokenize(text)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.text(), token_soup(), st.text(alphabet="#\n\r\t x1+$\u00b2")))
+@example("f1 = x1 # a comment that ends the text")
+@example("matrix {\r\n\t# a\n  block \x0b")
+@example("#")
+@example("x1\n\n  \u00b2")
+def test_tokenizer_matches_the_character_reference(text):
+    assert (_tokens_or_error(_positioned_tokens, text)
+            == _tokens_or_error(reference_tokenize, text))

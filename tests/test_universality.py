@@ -4,8 +4,9 @@ import time
 
 import pytest
 
-from orbitdex import (JordanBlock, JordanSpec, SequenceTarget, is_universal,
-                      orbit_spectrum, realize, residue_search, validate_rnf)
+from orbitdex import (ConsistencyError, GermMap, JordanBlock, JordanSpec, Poly,
+                      SequenceTarget, is_universal, orbit_spectrum, realize,
+                      residue_search, universality, validate_rnf)
 from orbitdex.universality import (chain_check, chain_coprime_germ, chain_germ,
                                    normalized_target, unit_spectrum_germ)
 
@@ -243,6 +244,20 @@ def test_realize_rejects_bad_inputs():
                                 15: 1, 30: 1}))
     with pytest.raises(ValueError, match="not admissible"):
         realize(spec_of(3), SequenceTarget({1: 2, 3: 1}))
+
+
+def test_realize_refuses_a_constructed_germ_outside_normal_form(monkeypatch):
+    def with_a_non_resonant_term(spec, params):
+        germ = chain_germ(spec, params)
+        x1 = Poly.variable(0, germ.nvars, germ.modulus)
+        return GermMap([germ.coords[0] + x1 ** 2, *germ.coords[1:]],
+                       nvars=germ.nvars, modulus=germ.modulus)
+
+    monkeypatch.setattr(universality, "chain_germ", with_a_non_resonant_term)
+    with pytest.raises(ConsistencyError,
+                       match="constructed germ: normal form required: "
+                             "non-resonant term x1\\^2 in coordinate 1; germ = "):
+        realize(spec_of(2), SequenceTarget({1: 1, 2: 1}))
 
 
 def test_coprime_family_with_longer_chain():
