@@ -299,6 +299,14 @@ def _cmd_paper_suite(args, rep: _Reporter) -> int:
     return 1 if failures else 0
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use; parse_args leaves it
@@ -310,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "germ maps.")
     parser.add_argument("--json", action="store_true",
                         help="emit a JSON report on stdout")
-    parser.add_argument("--degree-cap", type=int, default=None,
+    parser.add_argument("--degree-cap", type=positive_int, default=None,
                         dest="degree_cap_arg",
                         help=f"stabilization degree cap (default "
                              f"{DEFAULT_DEGREE_CAP}; realize sizes it from "
@@ -321,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         default=argparse.SUPPRESS)
-    common.add_argument("--degree-cap", type=int, dest="degree_cap_arg",
+    common.add_argument("--degree-cap", type=positive_int, dest="degree_cap_arg",
                         default=argparse.SUPPRESS)
     common.add_argument("--no-timing", action="store_true",
                         default=argparse.SUPPRESS)

@@ -359,29 +359,43 @@ class CyclotomicNumber:
     def __hash__(self):
         return hash((self.modulus, self.num, self.den))
 
-    def __str__(self):
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
+    def terms(self, factors=()) -> list[tuple[int, str]]:
+        """One (sign, text) pair per nonzero basis component k: the
+        factors |num[k]/den| (left out when it is 1 and something else is
+        written), w(M,1)^k and the given ones, joined by '*'.  This is the
+        term syntax of the .germ format; join_terms writes the pairs."""
+        den, gen = self.den, f"w({self.modulus},1)"
+        out = []
+        for k, n in enumerate(self.num):
+            if not n:
                 continue
-            if k == 0:
-                body = str(c)
+            if abs(n) == den and (k or factors):
+                parts = []
             else:
-                gen = f"w({self.modulus},1)" if k == 1 else f"w({self.modulus},1)^{k}"
-                body = gen if abs(c) == 1 else f"{abs(c)}*{gen}"
-                if c < 0 and not parts:
-                    body = "-" + body
-            if parts:
-                parts.append(" - " if c < 0 and k > 0 else " + " if k > 0 else "")
-                parts.append(body)
-            else:
-                parts.append(body)
-        if not parts:
-            return "0"
-        return "".join(parts)
+                g = math.gcd(n, den)
+                parts = [str(abs(n) // g) if g == den
+                         else f"{abs(n) // g}/{den // g}"]
+            if k:
+                parts.append(gen if k == 1 else f"{gen}^{k}")
+            parts.extend(factors)
+            out.append((-1 if n < 0 else 1, "*".join(parts)))
+        return out
+
+    def __str__(self):
+        return join_terms(self.terms())
 
     def __repr__(self):
         return f"{self} @ Q(zeta_{self.modulus})"
+
+
+def join_terms(pieces) -> str:
+    """(sign, text) pairs written as 'a + b - c', or '0' when there are
+    none."""
+    if not pieces:
+        return "0"
+    (sign, text), *rest = pieces
+    return "".join(["-" + text if sign < 0 else text]
+                   + [(" - " if s < 0 else " + ") + t for s, t in rest])
 
 
 _new = object.__new__

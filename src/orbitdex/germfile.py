@@ -20,7 +20,9 @@ The printer emits a canonical form: terms in ascending degree (x1-major
 within a degree), each cyclotomic coefficient expanded into its basis
 components a0 + a1*w(M,1) + a2*w(M,1)^2 + ..., one printed term per
 component so the grammar stays parenthesis-free.  parse(print(doc))
-reproduces the document.
+reproduces the document.  The terms are written by
+CyclotomicNumber.terms and join_terms, which str(CyclotomicNumber) and
+repr(Poly) use too; only the L<j> sugar is the printer's own.
 """
 
 from __future__ import annotations
@@ -31,10 +33,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 
-from .cyclotomic import CyclotomicNumber, root_of_unity
+from .cyclotomic import CyclotomicNumber, join_terms, root_of_unity
 from .jordan import (MAX_EXPONENT, MAX_MODULUS, JordanBlock, JordanSpec,
                      global_order)
-from .polynomials import GermMap, Poly
+from .polynomials import GermMap, Poly, monomial_factors
 
 
 class GermParseError(ValueError):
@@ -350,53 +352,17 @@ def parse_germ(text: str) -> GermDocument:
 # -- printer ------------------------------------------------------------------
 
 
-def _format_rational(value: Fraction) -> str:
-    return str(value.numerator) if value.denominator == 1 else \
-        f"{value.numerator}/{value.denominator}"
-
-
-def _printed_term(coeff_abs: Fraction, wpower: int, mono, modulus: int) -> str:
-    factors = []
-    if coeff_abs != 1:
-        factors.append(_format_rational(coeff_abs))
-    if wpower == 1:
-        factors.append(f"w({modulus},1)")
-    elif wpower > 1:
-        factors.append(f"w({modulus},1)^{wpower}")
-    for j, e in enumerate(mono):
-        if e == 1:
-            factors.append(f"x{j + 1}")
-        elif e > 1:
-            factors.append(f"x{j + 1}^{e}")
-    if not factors:
-        factors.append("1")
-    return "*".join(factors)
-
-
 def _format_polynomial(poly: Poly, spec: JordanSpec, coord: int) -> str:
-    if poly.is_zero():
-        return "0"
-    modulus = poly.modulus
     block = spec.block_of(coord)
-    lam = spec.blocks[block].eigenvalue(modulus)
+    lam = spec.blocks[block].eigenvalue(poly.modulus)
     own_linear = tuple(1 if j == coord else 0 for j in range(poly.nvars))
-    pieces: list[tuple[int, str]] = []  # (sign, body)
+    pieces = []
     for mono, coeff in poly.sorted_terms():
         if mono == own_linear and coeff == lam:
             pieces.append((1, f"L{block + 1}*x{coord + 1}"))
-            continue
-        for k, comp in enumerate(coeff.coeffs):
-            if comp == 0:
-                continue
-            sign = 1 if comp > 0 else -1
-            pieces.append((sign, _printed_term(abs(comp), k, mono, modulus)))
-    out = []
-    for idx, (sign, body) in enumerate(pieces):
-        if idx == 0:
-            out.append(("-" if sign < 0 else "") + body)
         else:
-            out.append((" - " if sign < 0 else " + ") + body)
-    return "".join(out)
+            pieces.extend(coeff.terms(monomial_factors(mono)))
+    return join_terms(pieces)
 
 
 def print_germ(doc: GermDocument) -> str:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclotomic import CyclotomicNumber
+from .cyclotomic import CyclotomicNumber, join_terms
 
 Monomial = tuple[int, ...]
 
@@ -31,6 +31,12 @@ class TermBudgetExceeded(RuntimeError):
 def grevlex_key(mono: Monomial):
     """Sort key: ascending total degree, then x1-major within a degree."""
     return (sum(mono), tuple(reversed(mono)))
+
+
+def monomial_factors(mono: Monomial) -> list[str]:
+    """The variables of a monomial as factors: ["x1", "x2^3", ...]."""
+    return [f"x{j + 1}" if e == 1 else f"x{j + 1}^{e}"
+            for j, e in enumerate(mono) if e]
 
 
 def _coerce_coeff(value, modulus: int) -> CyclotomicNumber:
@@ -342,24 +348,8 @@ class Poly:
         )
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for mono, coeff in self.sorted_terms():
-            factors = [
-                f"x{j + 1}" if e == 1 else f"x{j + 1}^{e}"
-                for j, e in enumerate(mono)
-                if e
-            ]
-            c = str(coeff)
-            if factors and c == "1":
-                parts.append("*".join(factors))
-            elif factors:
-                c = f"({c})" if ("+" in c or (" - " in c)) else c
-                parts.append("*".join([c] + factors))
-            else:
-                parts.append(c)
-        return " + ".join(parts).replace("+ -", "- ")
+        return join_terms([piece for mono, coeff in self.sorted_terms()
+                           for piece in coeff.terms(monomial_factors(mono))])
 
 
 class GermMap:

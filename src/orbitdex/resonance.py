@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .jordan import CoordMask, JordanSpec, global_order
-from .polynomials import GermMap, Poly
+from .polynomials import GermMap, Poly, monomial_factors
 
 
 @dataclass(frozen=True)
@@ -65,11 +65,8 @@ class NormalFormVerdict:
         for i, j in self.linear_mismatch:
             lines.append(f"linear part entry ({i + 1},{j + 1}) differs from the matrix")
         for coord, mono in self.nonresonant:
-            factors = "*".join(
-                f"x{k + 1}^{e}" if e > 1 else f"x{k + 1}"
-                for k, e in enumerate(mono) if e
-            )
-            lines.append(f"non-resonant term {factors} in coordinate {coord + 1}")
+            lines.append(f"non-resonant term {'*'.join(monomial_factors(mono))} "
+                         f"in coordinate {coord + 1}")
         return "; ".join(lines)
 
 
@@ -194,12 +191,4 @@ def divide_by_leads(spec: JordanSpec, stripped: GermMap,
                 f"coordinate {end + 1} is not divisible by its lead "
                 f"variable x{lead + 1}"
             ) from None
-    # the divided coordinates may acquire constant terms only if the lead
-    # variable itself was a term, which resonance rules out; still, guard:
-    for j, p in enumerate(coords):
-        if not p.constant_term().is_zero():
-            raise ValueError(
-                f"division left a constant term in coordinate {j + 1}; "
-                f"the input was not in normal form"
-            )
     return GermMap(coords, nvars=n, modulus=stripped.modulus)

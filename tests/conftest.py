@@ -2,8 +2,10 @@
 test-only views of the multiplicity engine (the Cronin product and one
 truncated quotient dimension, the latter through a reference echelon
 keyed by exponent tuples), a decoder of the engine's packed monomial
-keys, a reference germ-term evaluator built on Poly arithmetic, and the
-character-at-a-time .germ tokenizer that the regex tokenizer replaced."""
+keys, a reference germ-term evaluator built on Poly arithmetic, the
+character-at-a-time .germ tokenizer that the regex tokenizer replaced,
+and the per-writer term formatters that CyclotomicNumber.terms and
+join_terms replaced."""
 
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from orbitdex import GermMap, GermParseError, Poly, parse_germ
+from orbitdex import GermMap, GermParseError, JordanSpec, Poly, parse_germ
 from orbitdex.cyclotomic import root_of_unity
 from orbitdex.multiplicity import (DEFAULT_DEGREE_CAP, _adopt, _check_square,
                                    _integral_rows, _lowest_isolated,
@@ -263,3 +265,77 @@ def reference_tokenize(text: str) -> list[tuple[str, str, int, int]]:
         raise GermParseError(f"unexpected character {ch!r}", line, col)
     tokens.append(("EOF", "", line, col))
     return tokens
+
+
+def reference_cyclotomic_str(self) -> str:
+    """str of a CyclotomicNumber as its own writer formatted it."""
+    parts = []
+    for k, c in enumerate(self.coeffs):
+        if c == 0:
+            continue
+        if k == 0:
+            body = str(c)
+        else:
+            gen = f"w({self.modulus},1)" if k == 1 else f"w({self.modulus},1)^{k}"
+            body = gen if abs(c) == 1 else f"{abs(c)}*{gen}"
+            if c < 0 and not parts:
+                body = "-" + body
+        if parts:
+            parts.append(" - " if c < 0 and k > 0 else " + " if k > 0 else "")
+            parts.append(body)
+        else:
+            parts.append(body)
+    if not parts:
+        return "0"
+    return "".join(parts)
+
+
+def _format_rational(value: Fraction) -> str:
+    return str(value.numerator) if value.denominator == 1 else \
+        f"{value.numerator}/{value.denominator}"
+
+
+def _printed_term(coeff_abs: Fraction, wpower: int, mono, modulus: int) -> str:
+    factors = []
+    if coeff_abs != 1:
+        factors.append(_format_rational(coeff_abs))
+    if wpower == 1:
+        factors.append(f"w({modulus},1)")
+    elif wpower > 1:
+        factors.append(f"w({modulus},1)^{wpower}")
+    for j, e in enumerate(mono):
+        if e == 1:
+            factors.append(f"x{j + 1}")
+        elif e > 1:
+            factors.append(f"x{j + 1}^{e}")
+    if not factors:
+        factors.append("1")
+    return "*".join(factors)
+
+
+def reference_format_polynomial(poly: Poly, spec: JordanSpec, coord: int) -> str:
+    """One coordinate of a .germ map as the printer's own writer
+    formatted it."""
+    if poly.is_zero():
+        return "0"
+    modulus = poly.modulus
+    block = spec.block_of(coord)
+    lam = spec.blocks[block].eigenvalue(modulus)
+    own_linear = tuple(1 if j == coord else 0 for j in range(poly.nvars))
+    pieces: list[tuple[int, str]] = []  # (sign, body)
+    for mono, coeff in poly.sorted_terms():
+        if mono == own_linear and coeff == lam:
+            pieces.append((1, f"L{block + 1}*x{coord + 1}"))
+            continue
+        for k, comp in enumerate(coeff.coeffs):
+            if comp == 0:
+                continue
+            sign = 1 if comp > 0 else -1
+            pieces.append((sign, _printed_term(abs(comp), k, mono, modulus)))
+    out = []
+    for idx, (sign, body) in enumerate(pieces):
+        if idx == 0:
+            out.append(("-" if sign < 0 else "") + body)
+        else:
+            out.append((" - " if sign < 0 else " + ") + body)
+    return "".join(out)

@@ -171,6 +171,23 @@ def test_missing_file_exits_2(capsys):
     assert code == 2
 
 
+def test_degree_cap_must_be_positive(capsys, worked):
+    commands = [["check", worked], ["mult", worked],
+                ["index", worked, "--q", "2"], ["spectrum", worked],
+                ["realize", "[(1,2,1);(1,6,1)]", "--seq", "1:1,2:2,6:3"]]
+    for argv in commands:
+        for cap in ("0", "-1"):
+            # the flag is read before and after the subcommand
+            for placed in (["--degree-cap", cap, *argv],
+                           [*argv, "--degree-cap", cap]):
+                with pytest.raises(SystemExit) as exc:
+                    main(placed)
+                assert exc.value.code == 2, placed
+                assert "expected a positive integer" in capsys.readouterr().err
+        code, _, _ = run(capsys, *argv, "--degree-cap", "1")
+        assert code == 0, argv
+
+
 def test_mult_command(capsys, worked, tmp_path):
     code, out, _ = run(capsys, "mult", worked)
     assert code == 0 and out.strip() == "1"

@@ -1,6 +1,7 @@
 import math
 import re
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,10 +9,11 @@ from hypothesis import strategies as st
 
 from orbitdex import (GermDocument, GermMap, GermParseError, JordanBlock,
                       JordanSpec, Poly, parse_germ, print_germ)
-from orbitdex.cyclotomic import root_of_unity
-from orbitdex.germfile import _position, _tokenize
+from orbitdex.cyclotomic import CyclotomicNumber, euler_phi, root_of_unity
+from orbitdex.germfile import _format_polynomial, _position, _tokenize
 from orbitdex.jordan import global_order
-from conftest import load_fixtures, poly_of_terms, reference_tokenize
+from conftest import (load_fixtures, poly_of_terms, reference_cyclotomic_str,
+                      reference_format_polynomial, reference_tokenize)
 
 CANONICAL = """\
 matrix {
@@ -392,3 +394,54 @@ def _positioned_tokens(text):
 def test_tokenizer_matches_the_character_reference(text):
     assert (_tokens_or_error(_positioned_tokens, text)
             == _tokens_or_error(reference_tokenize, text))
+
+
+# -- the term writer against the per-writer reference ----------------------
+
+_COMPONENTS = [0, 0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3),
+               Fraction(7, 12), Fraction(-1, 10**20)]
+
+
+@st.composite
+def writer_cases(draw):
+    """A matrix, a coordinate and a polynomial whose coefficients mix
+    zero, +-1, negative and fractional components; the coordinate's own
+    linear term is sometimes the eigenvalue (the L<j> sugar) and
+    sometimes the eigenvalue plus more."""
+    orders = draw(st.lists(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 12, 15]),
+                           min_size=1, max_size=2))
+    blocks = []
+    for d in orders:
+        power = draw(st.sampled_from(
+            [r for r in range(1, d + 1) if math.gcd(r, d) == 1]))
+        blocks.append(JordanBlock(draw(st.integers(1, 2)), d, power))
+    spec = JordanSpec(tuple(blocks))
+    modulus, n = global_order(spec), spec.n
+    phi = euler_phi(modulus)
+
+    def coefficient():
+        return CyclotomicNumber(
+            modulus, [draw(st.sampled_from(_COMPONENTS)) for _ in range(phi)])
+
+    coord = draw(st.integers(0, n - 1))
+    terms = {tuple(draw(st.integers(0, 3)) for _ in range(n)): coefficient()
+             for _ in range(draw(st.integers(0, 4)))}
+    own_linear = tuple(1 if j == coord else 0 for j in range(n))
+    lam = spec.blocks[spec.block_of(coord)].eigenvalue(modulus)
+    linear = draw(st.sampled_from(["none", "sugar", "more"]))
+    if linear == "sugar":
+        terms[own_linear] = lam
+    elif linear == "more":
+        terms[own_linear] = lam + coefficient()
+    return spec, coord, Poly(n, modulus, terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(writer_cases())
+def test_term_writer_matches_the_per_writer_reference(case):
+    spec, coord, poly = case
+    assert (_format_polynomial(poly, spec, coord)
+            == reference_format_polynomial(poly, spec, coord))
+    for c in poly.terms.values():
+        assert str(c) == reference_cyclotomic_str(c)
+    assert str(CyclotomicNumber.zero(poly.modulus)) == "0"

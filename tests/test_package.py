@@ -1,5 +1,7 @@
 import ast
+import contextlib
 import inspect
+import io
 import re
 import types
 from pathlib import Path
@@ -27,3 +29,18 @@ def test_all_functions_are_the_cli_and_readme_surface():
         if inspect.isfunction(getattr(orbitdex, name)):
             assert (name in imported
                     or re.search(rf"\b{name}\b", readme)), name
+
+
+def test_readme_python_blocks_print_their_commented_output():
+    """Each python block of the README, run as it stands, prints what the
+    comments after its print calls say."""
+    readme = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+    assert blocks
+    for block in blocks:
+        expected = [line.split("# ", 1)[1].strip()
+                    for line in block.splitlines() if line.startswith("print(")]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            exec(compile(block, "README.md", "exec"), {})
+        assert out.getvalue().splitlines() == expected

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitdex import GermMap, Poly
+from orbitdex import GermMap, Poly, parse_germ
 from orbitdex.cyclotomic import root_of_unity
 from orbitdex.polynomials import TermBudgetExceeded, grevlex_key, variables
 
@@ -83,6 +83,18 @@ def test_germ_constant_term_rejected():
     x, = variables(1)
     with pytest.raises(ValueError):
         GermMap([x + 1])
+
+
+def test_repr_is_germ_term_text():
+    # one printed term per basis component of a coefficient, and no 1*
+    z = root_of_unity(6, 1, 6)
+    p = Poly(1, 6, {(1,): 1 + z, (2,): -1})
+    assert repr(p) == "x1 + w(6,1)*x1 - x1^2"
+    assert repr(GermMap([p])) == "(x1 + w(6,1)*x1 - x1^2)"
+    assert repr(Poly(2, 1, {(1, 0): -1, (0, 1): 1})) == "-x1 + x2"
+    doc = parse_germ("matrix { block { size = 1, order = 6, power = 1 } } "
+                     f"map {{ f1 = {p!r}; }}")
+    assert doc.gmap.coords[0] == p
 
 
 def test_term_budget_guard():

@@ -159,6 +159,9 @@ def test_divide_by_leads_examples():
     s3 = JordanSpec((B(1, 3, 1),))
     y, = variables(1, modulus=3)
     assert divide_by_leads(s3, GermMap([y**4]), (0,)).coords == (y**3,)
+    # a lead variable among the terms leaves a constant, which GermMap refuses
+    with pytest.raises(ValueError, match="constant term"):
+        divide_by_leads(s3, GermMap([y + y**4]), (0,))
 
 
 def test_divide_by_leads_rejects_non_lead_shape():
