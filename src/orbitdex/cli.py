@@ -231,10 +231,8 @@ def _cmd_realize(args, rep: _Reporter) -> int:
 
 
 def _cmd_lemma42(args, rep: _Reporter) -> int:
-    moduli = tuple(int(v) for v in args.a.split(","))
-    powers = tuple(int(v) for v in args.r.split(","))
     try:
-        witness = residue_search(moduli, powers)
+        witness = residue_search(args.a, args.r)
     except ValueError as exc:
         return _fail(rep, str(exc))
     rep.say(f"k = {witness.k}; residues = {list(witness.residues)}; "
@@ -307,6 +305,14 @@ def positive_int(text: str) -> int:
     return value
 
 
+def int_list(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use; parse_args leaves it
@@ -351,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("index", parents=[common],
                        help="fixed point index of an iterate")
     p.add_argument("file")
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--q", type=positive_int, required=True)
     p.add_argument("--route", choices=("projection", "direct", "both"),
                    default="projection")
     p.set_defaults(func=_cmd_index)
@@ -384,8 +390,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lemma42", parents=[common],
                        help="simultaneous residue minimization")
-    p.add_argument("--a", required=True, help="comma-separated moduli")
-    p.add_argument("--r", required=True, help="comma-separated powers")
+    p.add_argument("--a", type=int_list, required=True,
+                   help="comma-separated moduli")
+    p.add_argument("--r", type=int_list, required=True,
+                   help="comma-separated powers")
     p.set_defaults(func=_cmd_lemma42)
 
     p = sub.add_parser("paper-suite", parents=[common],

@@ -9,10 +9,13 @@ that constantly.
 
 The coefficients are one integer vector num over one positive integer
 den, in lowest terms (gcd(den, *num) == 1, and zero is all-zero over 1),
-so each value has one form and the arithmetic is on integers; the
-coeffs property gives them as Fractions.  M = 1 gives plain Q (phi(1) = 1,
-basis {1}).  Mixed-modulus arithmetic is rejected; use
-:meth:`CyclotomicNumber.embed` to move into a larger field explicitly.
+so each value has one form and all arithmetic, inversion included, is on
+integers; the coeffs property gives them as Fractions.  A product costs
+about phi^2 integer multiplications; invert, the costliest operation,
+takes phi - 2 products for the Galois adjugate and one for the norm.
+M = 1 gives plain Q (phi(1) = 1, basis {1}).  Mixed-modulus arithmetic
+is rejected; use :meth:`CyclotomicNumber.embed` to move into a larger
+field explicitly.
 
 >>> z = root_of_unity(6, 1, 6)
 >>> z * z == z - 1          # reduction by Phi_6 = z^2 - z + 1
@@ -27,9 +30,6 @@ import functools
 import math
 from fractions import Fraction
 from operator import add, neg, sub
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def euler_phi(m: int) -> int:
@@ -49,50 +49,27 @@ def euler_phi(m: int) -> int:
     return result
 
 
-# -- dense univariate polynomials over Q (internal helpers) -----------------
+# -- dense univariate integer polynomials (internal helpers) ----------------
 #
-# Represented as tuples of ints or Fractions, constant term first, no
-# trailing zeros.  Division by a monic integer polynomial stays in ints.
+# Represented as tuples of ints, constant term first, no trailing zeros.
 
 
-def _poly_trim(coeffs) -> tuple[Fraction, ...]:
+def _poly_trim(coeffs) -> tuple[int, ...]:
     coeffs = list(coeffs)
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return tuple(coeffs)
 
 
-def _poly_mul(a, b):
-    if not a or not b:
-        return ()
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return _poly_trim(out)
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [_ZERO] * (n - len(a))
-    b = list(b) + [_ZERO] * (n - len(b))
-    return _poly_trim(x - y for x, y in zip(a, b))
-
-
 def _poly_divmod(num, den):
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
+    """Quotient and remainder of num by the monic polynomial den."""
     num = list(num)
     top = len(den) - 1
-    lead = den[top]
     quo = [0] * max(len(num) - top, 0)
     lower = [(i, c) for i, c in enumerate(den[:top]) if c]
     for shift in range(len(quo) - 1, -1, -1):
         factor = num[shift + top]
         if factor:
-            if lead != 1:
-                factor /= lead
             quo[shift] = factor
             for i, c in lower:
                 num[shift + i] -= factor * c
@@ -132,7 +109,7 @@ def _reduction_rows(m: int) -> tuple[tuple[int, ...], ...]:
     """Rows r[i] = z^(phi+i) reduced mod Phi_m, for i = 0 .. phi-2 (what a
     product of two reduced elements can reach)."""
     phi = euler_phi(m)
-    return tuple(_zeta_power(m, k) for k in range(phi, 2 * phi - 1))
+    return tuple(_zeta_power(m, k % m) for k in range(phi, 2 * phi - 1))
 
 
 def _raw_mul(m, a, b):
@@ -148,6 +125,19 @@ def _raw_mul(m, a, b):
     for c, row in zip(conv[phi:], _reduction_rows(m)):
         if c:
             for j, r in enumerate(row):
+                if r:
+                    out[j] += c * r
+    return tuple(out)
+
+
+def _power_map(num, m, step):
+    """sum_k num[k] * z^(k*step), reduced mod Phi_m.  Exponents are
+    reduced mod m before the _zeta_power lookup, so its cache keeps at
+    most m entries per modulus."""
+    out = [0] * euler_phi(m)
+    for k, c in enumerate(num):
+        if c:
+            for j, r in enumerate(_zeta_power(m, k * step % m)):
                 if r:
                     out[j] += c * r
     return tuple(out)
@@ -236,14 +226,9 @@ class CyclotomicNumber:
             raise ValueError(
                 f"cannot embed Q(zeta_{self.modulus}) into Q(zeta_{modulus})"
             )
-        step = modulus // self.modulus
-        out = [0] * len(_zeta_power(modulus, 0))
-        for k, c in enumerate(self.num):
-            if c:
-                for j, r in enumerate(_zeta_power(modulus, k * step)):
-                    if r:
-                        out[j] += c * r
-        return _make(modulus, tuple(out), self.den)
+        return _make(modulus,
+                     _power_map(self.num, modulus, modulus // self.modulus),
+                     self.den)
 
     # -- field operations ------------------------------------------------
 
@@ -305,27 +290,25 @@ class CyclotomicNumber:
     __rmul__ = __mul__
 
     def invert(self) -> CyclotomicNumber:
-        """Multiplicative inverse via the extended Euclidean algorithm
-        against Phi_M (which is irreducible over Q)."""
+        """Multiplicative inverse on integers: for x = num/den, x^-1 =
+        den*adj/N, where adj is the product of the Galois conjugates of num
+        under z -> z^k (1 < k < M, gcd(k, M) = 1) and N = num*adj is its
+        norm, an integer.  Cost: phi - 2 products of phi^2 integer
+        multiplications each for adj, and one more for N."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
         if self.is_rational():
             return CyclotomicNumber.from_rational(
                 Fraction(self.den, self.num[0]), self.modulus)
-        # extended Euclid: s*a + t*Phi = gcd (a nonzero of degree < phi,
-        # Phi irreducible, so gcd is a nonzero constant)
-        r0 = tuple(map(Fraction, cyclotomic_polynomial(self.modulus)))
-        r1 = _poly_trim(self.coeffs)
-        s0, s1 = (), (_ONE,)
-        while r1:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        assert len(r0) == 1
-        scale = 1 / r0[0]
-        phi = len(self.num)
-        inv = [c * scale for c in s0] + [_ZERO] * (phi - len(s0))
-        return CyclotomicNumber(self.modulus, inv[:phi])
+        m, num = self.modulus, self.num
+        adj = functools.reduce(lambda a, b: _raw_mul(m, a, b),
+                               (_power_map(num, m, k) for k in range(2, m)
+                                if math.gcd(k, m) == 1))
+        # N is a product of |sigma(num)|^2 over conjugate pairs (M >= 3
+        # here, since phi(1) = phi(2) = 1), so it is a positive integer
+        norm, *rest = _raw_mul(m, num, adj)
+        assert norm > 0 and not any(rest)
+        return _make(m, tuple([self.den * a for a in adj]), norm)
 
     def __pow__(self, n: int) -> CyclotomicNumber:
         if not isinstance(n, int):

@@ -19,7 +19,8 @@ from .cyclotomic import CyclotomicNumber, root_of_unity
 
 MAX_EXPONENT = 10**6  # sanity bound on exponents accepted from inputs
 # Bound on the matrix order M = lcm(block orders): arithmetic in Q(zeta_M)
-# builds phi(M) reduction rows of phi(M) coefficients each.
+# builds phi(M) reduction rows of phi(M) coefficients each, and its
+# costliest operation, CyclotomicNumber.invert, takes phi(M) - 1 products.
 MAX_MODULUS = 2048
 
 
@@ -183,7 +184,7 @@ class SequenceTarget:
 
     @staticmethod
     def parse(text: str) -> SequenceTarget:
-        """Parse "1:1,2:2,6:3" into a target."""
+        """Parse "1:1,2:2,6:3" into a target; a repeated q is refused."""
         entries = {}
         for chunk in text.split(","):
             chunk = chunk.strip()
@@ -192,7 +193,10 @@ class SequenceTarget:
             m = re.fullmatch(r"(\d+)\s*:\s*(\d+)", chunk)
             if not m:
                 raise ValueError(f"bad sequence entry {chunk!r}; expected q:count")
-            entries[int(m.group(1))] = int(m.group(2))
+            q = int(m.group(1))
+            if q in entries:
+                raise ValueError(f"sequence index {q} is given twice")
+            entries[q] = int(m.group(2))
         return SequenceTarget(entries)
 
 

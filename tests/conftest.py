@@ -4,8 +4,9 @@ truncated quotient dimension, the latter through a reference echelon
 keyed by exponent tuples), a decoder of the engine's packed monomial
 keys, a reference germ-term evaluator built on Poly arithmetic, the
 character-at-a-time .germ tokenizer that the regex tokenizer replaced,
-and the per-writer term formatters that CyclotomicNumber.terms and
-join_terms replaced."""
+the per-writer term formatters that CyclotomicNumber.terms and
+join_terms replaced, and the extended-Euclid inverse over Fractions that
+the integer Galois-adjugate inverse replaced."""
 
 from __future__ import annotations
 
@@ -22,7 +23,8 @@ from pathlib import Path
 import pytest
 
 from orbitdex import GermMap, GermParseError, JordanSpec, Poly, parse_germ
-from orbitdex.cyclotomic import root_of_unity
+from orbitdex.cyclotomic import (CyclotomicNumber, cyclotomic_polynomial,
+                                 root_of_unity)
 from orbitdex.multiplicity import (DEFAULT_DEGREE_CAP, _adopt, _check_square,
                                    _integral_rows, _lowest_isolated,
                                    _strip_content)
@@ -339,3 +341,77 @@ def reference_format_polynomial(poly: Poly, spec: JordanSpec, coord: int) -> str
         else:
             out.append((" - " if sign < 0 else " + ") + body)
     return "".join(out)
+
+
+# -- the extended-Euclid inverse over Q[z] and its Fraction helpers ---------
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def _poly_trim(coeffs) -> tuple[Fraction, ...]:
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def _poly_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [_ZERO] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    return _poly_trim(out)
+
+
+def _poly_sub(a, b):
+    n = max(len(a), len(b))
+    a = list(a) + [_ZERO] * (n - len(a))
+    b = list(b) + [_ZERO] * (n - len(b))
+    return _poly_trim(x - y for x, y in zip(a, b))
+
+
+def _poly_divmod(num, den):
+    if not den:
+        raise ZeroDivisionError("polynomial division by zero")
+    num = list(num)
+    top = len(den) - 1
+    lead = den[top]
+    quo = [0] * max(len(num) - top, 0)
+    lower = [(i, c) for i, c in enumerate(den[:top]) if c]
+    for shift in range(len(quo) - 1, -1, -1):
+        factor = num[shift + top]
+        if factor:
+            if lead != 1:
+                factor /= lead
+            quo[shift] = factor
+            for i, c in lower:
+                num[shift + i] -= factor * c
+    return _poly_trim(quo), _poly_trim(num[:top])
+
+
+def reference_invert(self) -> CyclotomicNumber:
+    """Multiplicative inverse via the extended Euclidean algorithm
+    against Phi_M (which is irreducible over Q)."""
+    if self.is_zero():
+        raise ZeroDivisionError("inverse of zero cyclotomic number")
+    if self.is_rational():
+        return CyclotomicNumber.from_rational(
+            Fraction(self.den, self.num[0]), self.modulus)
+    # extended Euclid: s*a + t*Phi = gcd (a nonzero of degree < phi,
+    # Phi irreducible, so gcd is a nonzero constant)
+    r0 = tuple(map(Fraction, cyclotomic_polynomial(self.modulus)))
+    r1 = _poly_trim(self.coeffs)
+    s0, s1 = (), (_ONE,)
+    while r1:
+        q, r = _poly_divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
+    assert len(r0) == 1
+    scale = 1 / r0[0]
+    phi = len(self.num)
+    inv = [c * scale for c in s0] + [_ZERO] * (phi - len(s0))
+    return CyclotomicNumber(self.modulus, inv[:phi])

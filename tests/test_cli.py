@@ -201,6 +201,15 @@ def test_mult_command(capsys, worked, tmp_path):
     assert code == 0 and payload["results"]["value"] == 6
 
 
+def test_index_q_must_be_positive(capsys, worked):
+    for route in ("projection", "direct", "both"):
+        for q in ("0", "-2"):
+            with pytest.raises(SystemExit) as exc:
+                main(["index", worked, "--q", q, "--route", route])
+            assert exc.value.code == 2, (route, q)
+            assert "expected a positive integer" in capsys.readouterr().err
+
+
 def test_index_both_routes(capsys, worked):
     code, out, _ = run(capsys, "index", worked, "--q", "2", "--route", "both")
     assert code == 0 and out.strip() == "3"
@@ -399,6 +408,15 @@ def test_admissible_command(capsys):
     assert code == 1 and "a[3]" in out
 
 
+@pytest.mark.parametrize("command", [("admissible",), ("realize",)])
+def test_repeated_q_in_seq_is_refused(capsys, command):
+    code, out, err = run(capsys, "--json", "--no-timing", *command,
+                         "[(1,2,1);(1,3,1)]", "--seq", "1:1,2:1,3:1,2:0")
+    reason = "sequence index 2 is given twice"
+    assert code == 1 and err == f"error: {reason}\n"
+    assert json.loads(out)["results"] == {"ok": False, "reason": reason}
+
+
 def test_realize_writes_file(capsys, tmp_path):
     out_path = tmp_path / "realized.germ"
     code, out, _ = run(capsys, "realize", "[(1,2,1);(1,6,1)]",
@@ -476,6 +494,15 @@ def test_lemma42_command(capsys):
     assert payload["results"]["k"] == 1
     assert payload["results"]["product"] == 1
     assert payload["results"]["bound"] == 2
+
+
+@pytest.mark.parametrize("a, r", [("2,x", "1,1"), ("2,4", "1,1.5"),
+                                  ("2,,4", "1,1,1")])
+def test_lemma42_non_integer_is_a_usage_error(capsys, a, r):
+    with pytest.raises(SystemExit) as exc:
+        main(["lemma42", "--a", a, "--r", r])
+    assert exc.value.code == 2
+    assert "expected comma-separated integers" in capsys.readouterr().err
 
 
 def test_lemma42_lcm_bound(capsys):

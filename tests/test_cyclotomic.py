@@ -6,8 +6,10 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitdex.cyclotomic import (CyclotomicNumber, cyclotomic_polynomial,
+from orbitdex.cyclotomic import (CyclotomicNumber, _reduction_rows,
+                                 _zeta_power, cyclotomic_polynomial,
                                  euler_phi, root_of_unity)
+from conftest import reference_invert
 
 
 def test_module_doctests():
@@ -77,6 +79,43 @@ def test_invert_examples():
     assert a.invert() * a == 1
     with pytest.raises(ZeroDivisionError):
         CyclotomicNumber.zero(6).invert()
+
+
+@st.composite
+def _invertible(draw):
+    """A nonzero element of Q(zeta_M): sparse (1-3 nonzero components) or
+    dense (all nonzero), with negative and fractional components."""
+    m = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 12, 15, 30, 60]))
+    phi = euler_phi(m)
+    nonzero = st.fractions(min_value=-40, max_value=40,
+                           max_denominator=12).filter(bool)
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(nonzero, min_size=phi, max_size=phi))
+    else:
+        coeffs = [Fraction(0)] * phi
+        places = draw(st.lists(st.integers(0, phi - 1), min_size=1,
+                               max_size=3, unique=True))
+        for k in places:
+            coeffs[k] = draw(nonzero)
+    return CyclotomicNumber(m, coeffs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_invertible())
+def test_invert_matches_euclid_reference(x):
+    assert x.invert() == reference_invert(x)
+
+
+def test_invert_caches_reduced_exponents_only():
+    # exponents are reduced mod M before the _zeta_power lookup, so an
+    # inverse leaves at most M cache entries for its modulus
+    for m in (5, 7, 12, 15, 30, 60):
+        phi = euler_phi(m)
+        dense = CyclotomicNumber(m, range(1, phi + 1))
+        _zeta_power.cache_clear()
+        _reduction_rows.cache_clear()
+        assert dense * dense.invert() == 1
+        assert _zeta_power.cache_info().currsize <= m
 
 
 def test_embedding():

@@ -115,6 +115,13 @@ def test_sequence_target_parse():
         SequenceTarget.parse("1:1,bogus")
 
 
+def test_sequence_target_refuses_a_repeated_q():
+    with pytest.raises(ValueError, match="sequence index 2 is given twice"):
+        SequenceTarget.parse("1:1,2:1,3:1,2:0")
+    with pytest.raises(ValueError, match="sequence index 6 is given twice"):
+        SequenceTarget.parse("6:3, 06:3")
+
+
 @st.composite
 def jordan_specs(draw):
     m = draw(st.integers(1, 4))
