@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 domain or validation failure, 2 usage/parse
-error.  --json output is deterministic (stable keys; the timing field is
+error (also a path that cannot be read or written, or non-UTF-8 input).
+--json output is deterministic (stable keys; the timing field is
 suppressed by --no-timing); integers outside the 53-bit safe range are
 rendered as decimal strings.  Every exit-1 failure prints a
 {"ok": false, "reason": ...} payload under --json, including a refusal
@@ -18,7 +19,8 @@ import sys
 import time
 from pathlib import Path
 
-from .germfile import GermDocument, GermParseError, parse_germ, print_germ
+from .germfile import (GermDocument, GermParseError, _position, parse_germ,
+                       print_germ)
 from .jordan import (SequenceTarget, bounded_order, is_admissible,
                      parse_inline_matrix, period_set)
 from .multiplicity import (DEFAULT_DEGREE_CAP, NotIsolatedWithinBound,
@@ -26,7 +28,7 @@ from .multiplicity import (DEFAULT_DEGREE_CAP, NotIsolatedWithinBound,
 from .orbits import (ConsistencyError, direct_iterate_index,
                      fixed_point_index, orbit_spectrum)
 from .polynomials import TermBudgetExceeded
-from .resonance import strip_eigenvalues, validate_rnf
+from .resonance import validate_rnf
 from .universality import (is_universal, normalized_target, realize,
                            residue_search)
 
@@ -85,7 +87,13 @@ def _fail(rep: _Reporter, reason: str, **extra) -> int:
 def _load_document(path: str, reporter: _Reporter) -> GermDocument:
     data = Path(path).read_bytes()
     reporter.input_digest(data)
-    return parse_germ(data.decode("utf-8"))
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        good = data[:exc.start].decode("utf-8")
+        raise GermParseError(f"byte 0x{data[exc.start]:02x} is not UTF-8 text",
+                             *_position(good, len(good))) from None
+    return parse_germ(text)
 
 
 def _cmd_check(args, rep: _Reporter) -> int:
@@ -96,8 +104,7 @@ def _cmd_check(args, rep: _Reporter) -> int:
     # at q = M the mask selects every coordinate, so the full-period
     # order is that of the whole stripped map
     try:
-        full = multiplicity(strip_eigenvalues(doc.matrix, doc.gmap),
-                            args.degree_cap).value
+        full = multiplicity(verdict.stripped, args.degree_cap).value
     except NotIsolatedWithinBound as exc:
         rep.say(f"FAIL: iterate fixed points are not isolated: {exc}")
         rep.emit({"ok": False, "reason": str(exc)})
@@ -415,7 +422,7 @@ def main(argv=None) -> int:
     except GermParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ConsistencyError) as exc:

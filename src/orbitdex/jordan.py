@@ -95,21 +95,6 @@ class JordanSpec:
     def orders(self) -> tuple[int, ...]:
         return tuple(b.order for b in self.blocks)
 
-    def matrix(self, modulus: int | None = None):
-        """The full n x n matrix over Q(zeta_modulus)."""
-        if modulus is None:
-            modulus = global_order(self)
-        n = self.n
-        zero = CyclotomicNumber.zero(modulus)
-        rows = [[zero] * n for _ in range(n)]
-        for j, b in enumerate(self.blocks):
-            lam = b.eigenvalue(modulus)
-            for c in range(self.offsets[j], self.offsets[j + 1]):
-                rows[c][c] = lam
-                if c + 1 < self.offsets[j + 1]:
-                    rows[c][c + 1] = CyclotomicNumber.one(modulus)
-        return rows
-
 
 @dataclass(frozen=True)
 class CoordMask:

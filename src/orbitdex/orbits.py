@@ -4,12 +4,12 @@ For a germ in resonant polynomial normal form, the index of the q-th
 iterate equals the zero order of the eigenvalue-stripped map projected to
 the coordinates whose block order divides q; an empty projection means
 the identity-minus-linear-part is invertible and the index is 1.  One
-table, _iterate_indices, holds that rule: it checks the normal form and
-strips the eigenvalues once, and every index that fixed_point_index,
-the Dold indices and orbit_spectrum use is read from it.  The direct
-route computes the same index as the zero order of f^q - id by actual
-composition (exponential in q; jet determinacy lets the composition be
-truncated adaptively).
+table, _iterate_indices, holds that rule: one validate_rnf call checks
+the normal form and yields the stripped map, and every index that
+fixed_point_index, the Dold indices and orbit_spectrum use is read from
+it.  The direct route computes the same index as the zero order of
+f^q - id by actual composition (exponential in q; jet determinacy lets
+the composition be truncated adaptively).
 
 Dold indices combine iterate indices by inclusion-exclusion over the
 prime subsets of q; dividing by q yields the count of period-q orbits
@@ -35,8 +35,7 @@ from .multiplicity import (DEFAULT_DEGREE_CAP, NotIsolatedWithinBound,
                            multiplicity)
 from .polynomials import GermMap, TermBudgetExceeded
 from .resonance import (divide_by_leads, find_essential_blocks,
-                        lead_variable_shape_ok, project, strip_eigenvalues,
-                        validate_rnf)
+                        lead_variable_shape_ok, project, validate_rnf)
 
 
 # Direct composition is the cross-check's fallback for iterates q up to
@@ -110,24 +109,24 @@ def _iterate_indices(spec: JordanSpec, f: GermMap, degree_cap: int
     """The stripped map and the q -> index table of a germ in resonant
     polynomial normal form.
 
-    The normal form is checked and the eigenvalues stripped once; each
-    index is the zero order of the stripped map projected to the q-mask,
-    cached on the mask bits (the only thing the value depends on).
+    One validate_rnf call checks the normal form and strips the
+    eigenvalues; each index is the zero order of the stripped map
+    projected to the q-mask, cached on the mask bits (the only thing the
+    value depends on).
     """
     verdict = validate_rnf(spec, f)
     if not verdict.ok:
         raise ValueError(f"normal form required: {verdict.describe()}")
-    stripped = strip_eigenvalues(spec, f)
     cache: dict[int, int] = {}
 
     def index(q: int) -> int:
         mask = period_mask(spec, q)
         if mask.bits not in cache:
             cache[mask.bits] = 1 if mask.is_zero() else multiplicity(
-                project(stripped, mask), degree_cap).value
+                project(verdict.stripped, mask), degree_cap).value
         return cache[mask.bits]
 
-    return stripped, index
+    return verdict.stripped, index
 
 
 def fixed_point_index(spec: JordanSpec, f: GermMap, q: int,

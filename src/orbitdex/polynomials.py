@@ -7,8 +7,8 @@ zero polynomial still knows its field.
 
 A GermMap is a tuple of n such polynomials in n variables, each with zero
 constant term (the map fixes the origin).  Composition, iteration with
-optional degree truncation, coordinate projections and linear parts live
-here; everything is exact and immutable in spirit (no method mutates its
+optional degree truncation and coordinate projections live here;
+everything is exact and immutable in spirit (no method mutates its
 receiver).
 """
 
@@ -101,9 +101,6 @@ class Poly:
     def constant_term(self) -> CyclotomicNumber:
         zero_mono = (0,) * self.nvars
         return self.terms.get(zero_mono, CyclotomicNumber.zero(self.modulus))
-
-    def coefficient(self, mono) -> CyclotomicNumber:
-        return self.terms.get(tuple(mono), CyclotomicNumber.zero(self.modulus))
 
     def lowest_degree(self) -> int:
         return min((sum(m) for m in self.terms), default=-1)
@@ -415,18 +412,6 @@ class GermMap:
              for j, p in enumerate(self.coords)],
             nvars=self.nvars, modulus=self.modulus,
         )
-
-    def linear_part(self) -> list[list[CyclotomicNumber]]:
-        """Matrix of degree-1 coefficients, row j = coordinate j."""
-        n = self.nvars
-        rows = []
-        for p in self.coords:
-            row = []
-            for i in range(n):
-                mono = tuple(1 if k == i else 0 for k in range(n))
-                row.append(p.coefficient(mono))
-            rows.append(row)
-        return rows
 
     def embed(self, modulus: int) -> GermMap:
         if modulus == self.modulus:

@@ -7,18 +7,19 @@ sum_j e_j rho(j) == rho(s) mod M.  A germ is in resonant polynomial
 normal form when its linear part is exactly the matrix and every
 nonlinear term is resonant.
 
-strip_eigenvalues removes the diagonal eigenvalue part of the linear
-term (keeping superdiagonal ones and all nonlinear terms); project cuts
-a map down to a coordinate subspace; divide_by_leads divides designated
-block-end coordinates by their block's lead variable, which is what
-turns full-period orbit counts into a single multiplicity.
+validate_rnf decides the normal form and yields the eigenvalue-stripped
+map (f without its diagonal terms lambda_j x_j); project cuts a map down
+to a coordinate subspace; divide_by_leads divides designated block-end
+coordinates by their block's lead variable, which is what turns
+full-period orbit counts into a single multiplicity.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
+from .cyclotomic import CyclotomicNumber
 from .jordan import CoordMask, JordanSpec, global_order
 from .polynomials import GermMap, Poly, monomial_factors
 
@@ -57,6 +58,8 @@ class NormalFormVerdict:
     ok: bool
     linear_mismatch: tuple[tuple[int, int], ...] = ()
     nonresonant: tuple[tuple[int, tuple[int, ...]], ...] = ()
+    # None when the linear part differs from the matrix
+    stripped: GermMap | None = field(default=None, compare=False, repr=False)
 
     def describe(self) -> str:
         if self.ok:
@@ -71,49 +74,44 @@ class NormalFormVerdict:
 
 
 def validate_rnf(spec: JordanSpec, f: GermMap) -> NormalFormVerdict:
-    """Linear part must equal the Jordan matrix exactly; every nonlinear
-    term must be resonant."""
+    """Linear part must equal the Jordan matrix exactly (the block
+    eigenvalue on the diagonal, 1 on the in-block superdiagonal, nothing
+    else); every nonlinear term must be resonant.  One walk over each
+    coordinate's terms checks both and keeps all but the diagonal term
+    for the stripped map."""
     if f.nvars != spec.n:
-        raise ValueError(
-            f"map has {f.nvars} variables but the matrix is {spec.n} x {spec.n}"
-        )
-    m = global_order(spec)
-    f = f.embed(math.lcm(f.modulus, m))
-    matrix = spec.matrix(f.modulus)
-    got = f.linear_part()
-    linear_bad = []
-    for i in range(spec.n):
-        for j in range(spec.n):
-            if got[i][j] != matrix[i][j]:
-                linear_bad.append((i, j))
+        raise ValueError(f"map has {f.nvars} variables but the matrix is "
+                         f"{spec.n} x {spec.n}")
+    f = f.embed(math.lcm(f.modulus, global_order(spec)))
     ctx = ResonanceContext.of(spec)
-    nonres = []
-    for coord, p in enumerate(f.coords):
-        for mono in sorted(p.terms):
-            if sum(mono) >= 2 and not is_resonant_monomial(ctx, mono, coord):
-                nonres.append((coord, mono))
+    one = CyclotomicNumber.one(f.modulus)
+    linear_bad, nonres, coords = [], [], []
+    for b, start, stop in zip(spec.blocks, spec.offsets, spec.offsets[1:]):
+        lam = b.eigenvalue(f.modulus)
+        for coord in range(start, stop):
+            want = {coord: lam}
+            if coord + 1 < stop:
+                want[coord + 1] = one
+            got, bad, kept = {}, [], {}
+            for mono, c in f.coords[coord].terms.items():
+                if sum(mono) == 1:
+                    got[mono.index(1)] = c
+                    if mono[coord]:
+                        continue
+                elif not is_resonant_monomial(ctx, mono, coord):
+                    bad.append(mono)
+                kept[mono] = c
+            linear_bad.extend((coord, var) for var in sorted(want | got)
+                              if got.get(var) != want.get(var))
+            nonres.extend((coord, mono) for mono in sorted(bad))
+            coords.append(Poly(f.nvars, f.modulus, kept))
     return NormalFormVerdict(
         ok=not linear_bad and not nonres,
         linear_mismatch=tuple(linear_bad),
         nonresonant=tuple(nonres),
+        stripped=None if linear_bad else GermMap(coords, nvars=f.nvars,
+                                                 modulus=f.modulus),
     )
-
-
-def strip_eigenvalues(spec: JordanSpec, f: GermMap) -> GermMap:
-    """Subtract the diagonal eigenvalue part of the linear term, keeping
-    superdiagonal ones and all nonlinear terms.  The linear part of f
-    must equal the matrix exactly."""
-    m = global_order(spec)
-    f = f.embed(math.lcm(f.modulus, m))
-    matrix = spec.matrix(f.modulus)
-    got = f.linear_part()
-    if got != matrix:
-        raise ValueError("the linear part of the map is not the given matrix")
-    coords = []
-    for j, p in enumerate(f.coords):
-        lam = matrix[j][j]
-        coords.append(p - Poly.variable(j, f.nvars, f.modulus) * lam)
-    return GermMap(coords, nvars=f.nvars, modulus=f.modulus)
 
 
 def project(g: GermMap, mask: CoordMask) -> GermMap:

@@ -5,8 +5,10 @@ keyed by exponent tuples), a decoder of the engine's packed monomial
 keys, a reference germ-term evaluator built on Poly arithmetic, the
 character-at-a-time .germ tokenizer that the regex tokenizer replaced,
 the per-writer term formatters that CyclotomicNumber.terms and
-join_terms replaced, and the extended-Euclid inverse over Fractions that
-the integer Galois-adjugate inverse replaced."""
+join_terms replaced, the extended-Euclid inverse over Fractions that
+the integer Galois-adjugate inverse replaced, and the dense Jordan and
+linear-part matrices with the two-walk normal-form check and eigenvalue
+strip that the one-walk validate_rnf replaced."""
 
 from __future__ import annotations
 
@@ -28,7 +30,10 @@ from orbitdex.cyclotomic import (CyclotomicNumber, cyclotomic_polynomial,
 from orbitdex.multiplicity import (DEFAULT_DEGREE_CAP, _adopt, _check_square,
                                    _integral_rows, _lowest_isolated,
                                    _strip_content)
+from orbitdex.jordan import global_order
 from orbitdex.polynomials import grevlex_key
+from orbitdex.resonance import (NormalFormVerdict, ResonanceContext,
+                                is_resonant_monomial)
 
 SEED = 20260810
 
@@ -415,3 +420,81 @@ def reference_invert(self) -> CyclotomicNumber:
     phi = len(self.num)
     inv = [c * scale for c in s0] + [_ZERO] * (phi - len(s0))
     return CyclotomicNumber(self.modulus, inv[:phi])
+
+
+# -- dense matrices and the two-walk normal-form gate -------------------------
+
+def jordan_matrix(spec: JordanSpec, modulus: int | None = None):
+    """The full n x n matrix over Q(zeta_modulus)."""
+    if modulus is None:
+        modulus = global_order(spec)
+    n = spec.n
+    zero = CyclotomicNumber.zero(modulus)
+    rows = [[zero] * n for _ in range(n)]
+    for j, b in enumerate(spec.blocks):
+        lam = b.eigenvalue(modulus)
+        for c in range(spec.offsets[j], spec.offsets[j + 1]):
+            rows[c][c] = lam
+            if c + 1 < spec.offsets[j + 1]:
+                rows[c][c + 1] = CyclotomicNumber.one(modulus)
+    return rows
+
+
+def linear_part(f: GermMap) -> list[list[CyclotomicNumber]]:
+    """Matrix of degree-1 coefficients, row j = coordinate j."""
+    n = f.nvars
+    zero = CyclotomicNumber.zero(f.modulus)
+    rows = []
+    for p in f.coords:
+        row = []
+        for i in range(n):
+            mono = tuple(1 if k == i else 0 for k in range(n))
+            row.append(p.terms.get(mono, zero))
+        rows.append(row)
+    return rows
+
+
+def reference_validate_rnf(spec: JordanSpec, f: GermMap) -> NormalFormVerdict:
+    """Linear part must equal the Jordan matrix exactly; every nonlinear
+    term must be resonant."""
+    if f.nvars != spec.n:
+        raise ValueError(
+            f"map has {f.nvars} variables but the matrix is {spec.n} x {spec.n}"
+        )
+    m = global_order(spec)
+    f = f.embed(math.lcm(f.modulus, m))
+    matrix = jordan_matrix(spec, f.modulus)
+    got = linear_part(f)
+    linear_bad = []
+    for i in range(spec.n):
+        for j in range(spec.n):
+            if got[i][j] != matrix[i][j]:
+                linear_bad.append((i, j))
+    ctx = ResonanceContext.of(spec)
+    nonres = []
+    for coord, p in enumerate(f.coords):
+        for mono in sorted(p.terms):
+            if sum(mono) >= 2 and not is_resonant_monomial(ctx, mono, coord):
+                nonres.append((coord, mono))
+    return NormalFormVerdict(
+        ok=not linear_bad and not nonres,
+        linear_mismatch=tuple(linear_bad),
+        nonresonant=tuple(nonres),
+    )
+
+
+def reference_strip_eigenvalues(spec: JordanSpec, f: GermMap) -> GermMap:
+    """Subtract the diagonal eigenvalue part of the linear term, keeping
+    superdiagonal ones and all nonlinear terms.  The linear part of f
+    must equal the matrix exactly."""
+    m = global_order(spec)
+    f = f.embed(math.lcm(f.modulus, m))
+    matrix = jordan_matrix(spec, f.modulus)
+    got = linear_part(f)
+    if got != matrix:
+        raise ValueError("the linear part of the map is not the given matrix")
+    coords = []
+    for j, p in enumerate(f.coords):
+        lam = matrix[j][j]
+        coords.append(p - Poly.variable(j, f.nvars, f.modulus) * lam)
+    return GermMap(coords, nvars=f.nvars, modulus=f.modulus)

@@ -136,6 +136,16 @@ def test_realize_validates_the_normal_form_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("command", [
+    ["spectrum"], ["index", "--q", "2", "--route", "both"]])
+def test_spectrum_and_index_validate_the_normal_form_once(capsys, worked,
+                                                         monkeypatch, command):
+    calls = _count_normal_form_checks(monkeypatch)
+    code, _, _ = run(capsys, command[0], worked, *command[1:])
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_parser_keeps_no_state_between_calls(capsys, worked):
     code, out, _ = run(capsys, "check", worked, "--json", "--no-timing")
     assert code == 0 and json.loads(out)["results"]["full_order"] == 12
@@ -169,6 +179,30 @@ def test_parse_error_exits_2(capsys, tmp_path):
 def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "check", "/nonexistent/x.germ")
     assert code == 2
+
+
+def test_unreadable_input_path_exits_2(capsys, tmp_path):
+    code, out, err = run(capsys, "--json", "check", str(tmp_path))
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
+def test_unwritable_output_path_exits_2(capsys, tmp_path):
+    code, out, err = run(capsys, "realize", "[(1,2,1)]", "--seq", "1:1,2:1",
+                         "-o", str(tmp_path))
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
+def test_non_utf8_input_is_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "bytes.germ"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, "--json", "check", str(path))
+    assert code == 2 and out == ""
+    assert err == "parse error: line 1, col 1: byte 0xff is not UTF-8 text\n"
+    # the position counts characters of the valid text before the byte
+    path.write_bytes(NON_RESONANT.encode() + "# \u00e9 \xff".encode()
+                     + b"\xfe\n")
+    code, _, err = run(capsys, "check", str(path))
+    assert code == 2 and err.startswith("parse error: line 3, col 6: byte 0xfe")
 
 
 def test_degree_cap_must_be_positive(capsys, worked):

@@ -11,8 +11,7 @@ from orbitdex import (ConsistencyError, GermMap, JordanBlock, JordanSpec, Poly,
 from orbitdex import orbits
 from orbitdex.orbits import prime_factors, solve_counts_triangular
 from orbitdex.polynomials import variables
-from orbitdex.resonance import (divide_by_leads, find_essential_blocks,
-                                strip_eigenvalues)
+from orbitdex.resonance import divide_by_leads, find_essential_blocks
 from orbitdex.universality import chain_coprime_germ, chain_germ
 from conftest import load_fixtures
 
@@ -196,7 +195,7 @@ def test_full_period_division_route_on_fixtures():
         witness = find_essential_blocks(spec)
         if witness is None:
             continue
-        stripped = strip_eigenvalues(spec, doc.gmap)
+        stripped = validate_rnf(spec, doc.gmap).stripped
         from orbitdex.resonance import lead_variable_shape_ok
         if not lead_variable_shape_ok(spec, stripped):
             continue
@@ -229,7 +228,7 @@ def test_masked_division_route_per_period():
             if witness is None:
                 continue
             sub_map = project(doc.gmap, mask)
-            stripped = strip_eigenvalues(sub_spec, sub_map)
+            stripped = validate_rnf(sub_spec, sub_map).stripped
             if not lead_variable_shape_ok(sub_spec, stripped):
                 continue
             try:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from orbitdex import GermMap, Poly, parse_germ
 from orbitdex.cyclotomic import root_of_unity
 from orbitdex.polynomials import TermBudgetExceeded, grevlex_key, variables
+from conftest import linear_part
 
 
 def test_arith_examples():
@@ -73,9 +74,9 @@ def test_linear_part_read_off():
     z6 = root_of_unity(6, 1, 6)
     x1, x2 = variables(2, modulus=6)
     f = GermMap([z6 * x1 + x2, z6 * x2 + x1**7])
-    lp = f.linear_part()
+    lp = linear_part(f)
     assert lp[0] == [z6, 1] and lp[1] == [0, z6]
-    lp2 = f.minus_identity().linear_part()
+    lp2 = linear_part(f.minus_identity())
     assert lp2[0] == [z6 - 1, 1] and lp2[1] == [0, z6 - 1]
 
 
@@ -140,12 +141,12 @@ def test_compose_associative_up_to_truncation(f, g, h):
 @settings(max_examples=40, deadline=None)
 @given(small_germs(), small_germs())
 def test_compose_linear_part_is_matrix_product(f, g):
-    lp_f, lp_g = f.linear_part(), g.linear_part()
+    lp_f, lp_g = linear_part(f), linear_part(g)
     n = f.nvars
     product = [[sum((lp_f[i][k] * lp_g[k][j] for k in range(n)),
                     start=Poly.zero(1).constant_term())
                 for j in range(n)] for i in range(n)]
-    assert f.compose(g).linear_part() == product
+    assert linear_part(f.compose(g)) == product
 
 
 @settings(max_examples=30, deadline=None)

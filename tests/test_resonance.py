@@ -12,7 +12,8 @@ from orbitdex.jordan import CoordMask
 from orbitdex.polynomials import variables
 from orbitdex.resonance import (ResonanceContext, divide_by_leads,
                                 find_essential_blocks, is_resonant_monomial,
-                                project, strip_eigenvalues)
+                                project)
+from conftest import reference_strip_eigenvalues, reference_validate_rnf
 
 B = JordanBlock
 
@@ -67,16 +68,105 @@ def test_validate_rnf_examples():
     assert not v2.ok and (0, 1) in v2.linear_mismatch
 
 
+def test_validate_rnf_refuses_a_size_mismatch():
+    x1, x2 = variables(2, modulus=2)
+    with pytest.raises(ValueError, match="map has 2 variables but the "
+                                         "matrix is 1 x 1"):
+        validate_rnf(JordanSpec((B(1, 2, 1),)), GermMap([-x1, -x2]))
+
+
+@st.composite
+def perturbed_normal_forms(draw):
+    """A Jordan spec and a map that starts from its matrix over Q or a
+    subfield of Q(zeta_M), then loses a diagonal term, has a
+    superdiagonal 1 changed or dropped, gains a linear term anywhere, or
+    gains resonant and arbitrary nonlinear terms."""
+    blocks = []
+    for _ in range(draw(st.integers(1, 3))):
+        d = draw(st.sampled_from([1, 2, 3, 4, 6]))
+        r = draw(st.sampled_from([r for r in range(1, d + 1)
+                                  if math.gcd(r, d) == 1]))
+        blocks.append(B(draw(st.integers(1, 3)), d, r))
+    spec = JordanSpec(tuple(blocks))
+    n, big = spec.n, global_order(spec)
+    modulus = draw(st.sampled_from([k for k in range(1, big + 1)
+                                    if big % k == 0]))
+    coeff = st.sampled_from([-2, -1, 1, 2, 3])
+    rarely = st.integers(0, 3).map(lambda v: v == 0)
+
+    def unit(k):
+        return tuple(int(i == k) for i in range(n))
+
+    terms = [{} for _ in range(n)]
+    for j, b in enumerate(spec.blocks):
+        for c in range(spec.offsets[j], spec.offsets[j + 1]):
+            # the eigenvalue where the field holds it, else a rational guess
+            if modulus % b.order == 0:
+                terms[c][unit(c)] = b.eigenvalue(modulus)
+            else:
+                terms[c][unit(c)] = -1 if b.order == 2 else draw(coeff)
+            if c + 1 < spec.offsets[j + 1]:
+                terms[c][unit(c + 1)] = 1
+    if draw(rarely):
+        c = draw(st.integers(0, n - 1))
+        del terms[c][unit(c)]
+    supers = [c for c in range(n - 1) if unit(c + 1) in terms[c]]
+    if supers and draw(rarely):
+        c = draw(st.sampled_from(supers))
+        if draw(st.booleans()):
+            del terms[c][unit(c + 1)]
+        else:
+            terms[c][unit(c + 1)] = draw(coeff)
+    if draw(rarely):
+        c, k = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        terms[c][unit(k)] = draw(coeff)
+    for _ in range(draw(st.integers(0, 3))):
+        # x_c * x_k^(order of x_k's block) is resonant toward c
+        c, k = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        order = spec.blocks[spec.block_of(k)].order
+        terms[c][tuple(int(i == c) + order * (i == k)
+                       for i in range(n))] = draw(coeff)
+    for _ in range(draw(st.integers(0, 3))):
+        c = draw(st.integers(0, n - 1))
+        mono = tuple(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+        if sum(mono) >= 2:
+            terms[c][mono] = draw(coeff)
+    f = GermMap([Poly(n, modulus, t) for t in terms], nvars=n,
+                modulus=modulus)
+    return spec, f
+
+
+@settings(max_examples=300, deadline=None)
+@given(perturbed_normal_forms())
+def test_validate_rnf_matches_the_two_walk_reference(case):
+    """The one-walk gate gives the verdict of the dense-matrix check and,
+    where the linear part is the matrix, the map the strip gave."""
+    spec, f = case
+    got = validate_rnf(spec, f)
+    want = reference_validate_rnf(spec, f)
+    assert got.ok == want.ok
+    assert got.linear_mismatch == want.linear_mismatch
+    assert got.nonresonant == want.nonresonant
+    assert got.describe() == want.describe()
+    try:
+        stripped = reference_strip_eigenvalues(spec, f)
+    except ValueError:
+        assert got.stripped is None
+        return
+    assert got.stripped == stripped
+    assert ([list(p.terms) for p in got.stripped.coords]
+            == [list(p.terms) for p in stripped.coords])
+
+
 def test_strip_eigenvalues_examples():
     spec = JordanSpec((B(2, 6, 1), B(1, 3, 1)))
     z6 = root_of_unity(6, 1, 6)
     z3 = root_of_unity(3, 1, 6)
     x1, x2, x3 = variables(3, modulus=6)
     f = GermMap([z6 * x1 + x2, z6 * x2 + x1**7, z3 * x3 + x3 * x1**6])
-    t = strip_eigenvalues(spec, f)
+    t = validate_rnf(spec, f).stripped
     assert t.coords == (x2, x1**7, x3 * x1**6)
-    with pytest.raises(ValueError):
-        strip_eigenvalues(spec, GermMap([z6 * x1, z6 * x2, z3 * x3]))
+    assert validate_rnf(spec, GermMap([z6 * x1, z6 * x2, z3 * x3])).stripped is None
 
 
 def test_strip_commutes_with_diagonal():
@@ -93,7 +183,7 @@ def test_strip_commutes_with_diagonal():
     }
     """)
     spec = doc.matrix
-    t = strip_eigenvalues(spec, doc.gmap)
+    t = validate_rnf(spec, doc.gmap).stripped
     diag = diagonal_germ(spec, doc.gmap.modulus)
     assert t.compose(diag) == diag.compose(t)
 
