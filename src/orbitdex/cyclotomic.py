@@ -320,8 +320,9 @@ class CyclotomicNumber:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     # -- comparison and display -----------------------------------------

@@ -34,16 +34,9 @@ from fractions import Fraction
 from operator import add
 
 from .cyclotomic import CyclotomicNumber, join_terms, root_of_unity
-from .jordan import (MAX_EXPONENT, MAX_MODULUS, JordanBlock, JordanSpec,
-                     global_order)
+from .jordan import (MAX_DIMENSION, MAX_EXPONENT, MAX_MODULUS, GermParseError,
+                     JordanBlock, JordanSpec, global_order)
 from .polynomials import GermMap, Poly, monomial_factors
-
-
-class GermParseError(ValueError):
-    def __init__(self, message: str, line: int, col: int):
-        self.line = line
-        self.col = col
-        super().__init__(f"line {line}, col {col}: {message}")
 
 
 @dataclass(frozen=True)
@@ -166,7 +159,7 @@ class _Parser:
         self.expect_name("matrix")
         self.expect("{")
         blocks = []
-        modulus = 1
+        modulus, n = 1, 0
         while self.tokens[self.pos][:2] == ("NAME", "block"):
             tok = self.tokens[self.pos]
             blocks.append(self.block_decl())
@@ -174,6 +167,10 @@ class _Parser:
             if modulus > MAX_MODULUS:
                 self.fail(f"matrix order {modulus} exceeds the supported "
                           f"bound {MAX_MODULUS}", tok)
+            n += blocks[-1].size
+            if n > MAX_DIMENSION:
+                self.fail(f"matrix dimension {n} exceeds the supported "
+                          f"bound {MAX_DIMENSION}", tok)
         self.expect("}")
         if not blocks:
             self.fail("matrix must declare at least one block")
@@ -215,7 +212,7 @@ class _Parser:
             self.expect("=")
             poly = self.expr()
             self.expect(";")
-            if not poly.constant_term().is_zero():
+            if (0,) * n in poly.terms:
                 self.fail(f"coordinate {name} has a nonzero constant term", tok)
             for c in poly.terms.values():
                 self.check_coefficient(c)

@@ -22,6 +22,20 @@ MAX_EXPONENT = 10**6  # sanity bound on exponents accepted from inputs
 # builds phi(M) reduction rows of phi(M) coefficients each, and its
 # costliest operation, CyclotomicNumber.invert, takes phi(M) - 1 products.
 MAX_MODULUS = 2048
+# Bound on the dimension n = sum of block sizes: every monomial is an
+# n-tuple and a germ has about n terms, so the work of one command grows
+# like n^2; at the bound, realize on one block takes about 5 s.
+MAX_DIMENSION = 2048
+
+
+class GermParseError(ValueError):
+    """A refusal of .germ text or of an inline matrix, at a 1-based line
+    and column of the text."""
+
+    def __init__(self, message: str, line: int, col: int):
+        self.line = line
+        self.col = col
+        super().__init__(f"line {line}, col {col}: {message}")
 
 
 @dataclass(frozen=True)
@@ -225,21 +239,30 @@ _INLINE_RE = re.compile(r"\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)")
 
 
 def parse_inline_matrix(text: str) -> JordanSpec:
-    """Parse the inline syntax "[(k,d,r);(k,d,r);...]"."""
+    """Parse the inline syntax "[(k,d,r);(k,d,r);...]".  A total size above
+    MAX_DIMENSION is a GermParseError at the block that crosses it."""
     stripped = text.strip()
     if not (stripped.startswith("[") and stripped.endswith("]")):
         raise ValueError(f"inline matrix must be bracketed: {text!r}")
-    body = stripped[1:-1]
     blocks = []
-    for part in body.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        m = _INLINE_RE.fullmatch(part)
-        if not m:
-            raise ValueError(f"bad block {part!r}; expected (size,order,power)")
-        k, d, r = (int(g) for g in m.groups())
-        blocks.append(JordanBlock(k, d, r))
+    n = 0
+    offset = text.index("[") + 1  # of the current part in text
+    for part in text[offset:text.rindex("]")].split(";"):
+        block = part.strip()
+        if block:
+            m = _INLINE_RE.fullmatch(block)
+            if not m:
+                raise ValueError(
+                    f"bad block {block!r}; expected (size,order,power)")
+            k, d, r = (int(g) for g in m.groups())
+            blocks.append(JordanBlock(k, d, r))
+            n += k
+            if n > MAX_DIMENSION:
+                col = offset + len(part) - len(part.lstrip()) + 1
+                raise GermParseError(
+                    f"matrix dimension {n} exceeds the supported bound "
+                    f"{MAX_DIMENSION}", 1, col)
+        offset += len(part) + 1
     if not blocks:
         raise ValueError("inline matrix has no blocks")
     return JordanSpec(tuple(blocks))

@@ -27,8 +27,12 @@ The arithmetic and the pivot order are those of exponent-tuple keys.
 Exact closed-form reductions run first and hand the engine only small
 residual systems:
 
-* a coordinate that is a single variable lets the variable be set to zero
-  and dropped;
+* every coordinate that is a single variable lets that variable be set
+  to zero and dropped, all of them in one pass (setting variables to zero
+  commutes, so the pass equals peeling them one at a time); this, the
+  exponent gcd and the linear elimination below replace the system and
+  repeat in one loop, so neither the call depth nor the rebuilt
+  coordinates grow with the number of peels;
 * a coordinate divisible by a monomial splits the count additively, one
   variable factor at a time (isolation of the product is equivalent to
   isolation of every factor system, and the orders add);
@@ -55,7 +59,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclotomic import CyclotomicNumber
-from .polynomials import GermMap, Poly, grevlex_key
+from .polynomials import GermMap, Poly
 
 DEFAULT_DEGREE_CAP = 64
 
@@ -101,19 +105,27 @@ class MultiplicityResult:
 
 
 def _monomials_of_degree(nvars: int, degree: int):
-    """All exponent tuples of the given total degree, grevlex-ascending."""
+    """All exponent tuples of the given total degree, grevlex-ascending.
+    Grevlex within a degree is lex order on (e_n, ..., e_2), x1 taking the
+    rest, so an odometer over those exponents lists them in order, with
+    no recursion on nvars and no sort."""
+    rev = [0] * (nvars - 1)  # e_n, ..., e_2
+    total = 0
     out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for e in range(remaining + 1):
-            rec(prefix + (e,), remaining - e, slots - 1)
-
-    rec((), degree, nvars)
-    out.sort(key=grevlex_key)
-    return out
+    while True:
+        out.append((degree - total, *reversed(rev)))
+        if rev and total < degree:
+            rev[-1] += 1
+            total += 1
+            continue
+        k = len(rev) - 1
+        while k >= 0 and not rev[k]:
+            k -= 1
+        if k <= 0:  # (e_n = degree) was the last; or nothing to advance
+            return out
+        total -= rev[k] - 1
+        rev[k] = 0
+        rev[k - 1] += 1
 
 
 class _Echelon:
@@ -319,96 +331,132 @@ class _Context:
         self.top_certificate = None
 
 
-def _drop_coordinate_and_variable(coords, drop_coord: int, var: int):
-    keep = [j for j in range(coords[0].nvars) if j != var]
-    return [
-        p.restrict_vars(keep)
-        for j, p in enumerate(coords)
-        if j != drop_coord
-    ]
+def _peel(coords: list[Poly]) -> list[Poly] | None:
+    """Set to zero every variable that is a whole coordinate and drop
+    those coordinates (the first coordinate for each variable), in one
+    pass; None when no coordinate is a single variable.  A later
+    coordinate that is the same variable survives, as zero."""
+    peeled: dict[int, int] = {}  # variable -> coordinate
+    for j, p in enumerate(coords):
+        if len(p.terms) == 1:
+            mono, = p.terms
+            if sum(mono) == 1:
+                peeled.setdefault(mono.index(1), j)
+    if not peeled:
+        return None
+    keep = [i for i in range(coords[0].nvars) if i not in peeled]
+    dropped = set(peeled.values())
+    return [p.restrict_vars(keep) for j, p in enumerate(coords)
+            if j not in dropped]
 
 
 def _mult(coords: list[Poly], ctx: _Context, top: bool) -> int:
-    nvars = coords[0].nvars if coords else 0
-    if nvars == 0:
-        return 1
-    modulus = coords[0].modulus
+    """The zero order of coords, reduced in closed form first.  The peel,
+    the exponent gcd and the linear elimination each replace the system
+    and go round the loop again (scale carries the gcd factors, and top
+    is cleared, since the engine then no longer sees the input); only the
+    monomial-content split recurses."""
+    scale = 1
+    while True:
+        nvars = coords[0].nvars if coords else 0
+        if nvars == 0:
+            return scale
+        modulus = coords[0].modulus
+        origin = (0,) * nvars
 
-    for j, p in enumerate(coords):
-        if p.is_zero():
+        for j, p in enumerate(coords):
+            if p.is_zero():
+                raise NotIsolatedWithinBound(
+                    ctx.cap, witness=f"a coordinate vanishes identically "
+                                     f"(position {j + 1} of a reduced system)",
+                    definite=True)
+            if origin in p.terms:
+                # the system has no zero at the origin at all
+                return 0
+
+        # single-variable coordinates: set those variables to zero and drop
+        peeled = _peel(coords)
+        if peeled is not None:
+            coords, top = peeled, False
+            continue
+
+        # a variable missing from every coordinate gives a product zero set
+        used = [False] * nvars
+        gcds = [0] * nvars
+        for p in coords:
+            for mono in p.terms:
+                for i, e in enumerate(mono):
+                    if e:
+                        used[i] = True
+                        gcds[i] = math.gcd(gcds[i], e)
+        if not all(used):
+            miss = used.index(False)
             raise NotIsolatedWithinBound(
-                ctx.cap, witness=f"a coordinate vanishes identically "
-                                 f"(position {j + 1} of a reduced system)",
+                ctx.cap, witness=f"variable x{miss + 1} appears in no "
+                                 f"coordinate, so the zero set contains its axis",
                 definite=True)
-        if not p.constant_term().is_zero():
-            # the system has no zero at the origin at all
-            return 0
 
-    # single-variable coordinate: set that variable to zero and drop it
-    for j, p in enumerate(coords):
-        if len(p.terms) == 1:
-            (mono, _), = p.terms.items()
-            if sum(mono) == 1:
-                var = mono.index(1)
-                return _mult(_drop_coordinate_and_variable(coords, j, var),
-                             ctx, False)
+        # common exponent gcd: divide out, scale by the product
+        if any(g >= 2 for g in gcds):
+            scale *= math.prod(gcds)
+            coords = [
+                Poly(nvars, modulus,
+                     {tuple(e // g for e, g in zip(m, gcds)): c
+                      for m, c in p.terms.items()})
+                for p in coords
+            ]
+            top = False
+            continue
 
-    # a variable missing from every coordinate gives a product zero set
-    used = [False] * nvars
-    gcds = [0] * nvars
-    for p in coords:
-        for mono in p.terms:
-            for i, e in enumerate(mono):
-                if e:
-                    used[i] = True
-                    gcds[i] = math.gcd(gcds[i], e)
-    if not all(used):
-        miss = used.index(False)
-        raise NotIsolatedWithinBound(
-            ctx.cap, witness=f"variable x{miss + 1} appears in no coordinate, "
-                             f"so the zero set contains its axis",
-            definite=True)
+        # monomial content: split additively, one variable factor at a time
+        for j, p in enumerate(coords):
+            content = p.monomial_content()
+            if any(content):
+                total = 0
+                for i, a in enumerate(content):
+                    if a:
+                        branch = list(coords)
+                        branch[j] = Poly.variable(i, nvars, modulus)
+                        total += a * _mult(branch, ctx, False)
+                branch = list(coords)
+                branch[j] = p.divide_monomial(content)
+                total += _mult(branch, ctx, False)
+                return scale * total
 
-    # common exponent gcd: divide out, scale by the product
-    if any(g >= 2 for g in gcds):
-        factor = math.prod(gcds)
-        reduced = [
-            Poly(nvars, modulus,
-                 {tuple(e // g for e, g in zip(m, gcds)): c
-                  for m, c in p.terms.items()})
-            for p in coords
-        ]
-        return factor * _mult(reduced, ctx, False)
+        # Cronin fast path: product of lowest degrees when the lowest system
+        # has 0 as its only common zero
+        degrees, isolated = _lowest_isolated(coords, nvars, ctx.cap)
+        if isolated:
+            return scale * math.prod(degrees)
+        cronin_witness = None
+        if isolated is False:
+            cronin_witness = (
+                "the lowest-degree homogeneous system has a positive-dimensional "
+                "zero set (evidence of a non-isolated zero, not a proof)"
+            )
 
-    # monomial content: split additively, one variable factor at a time
-    for j, p in enumerate(coords):
-        content = p.monomial_content()
-        if any(content):
-            total = 0
-            for i, a in enumerate(content):
-                if a:
-                    branch = list(coords)
-                    branch[j] = Poly.variable(i, nvars, modulus)
-                    total += a * _mult(branch, ctx, False)
-            branch = list(coords)
-            branch[j] = p.divide_monomial(content)
-            total += _mult(branch, ctx, False)
-            return total
+        # solve out a variable that occurs linearly in one coordinate and in
+        # no other term of that coordinate
+        eliminated = _eliminate_linear(coords, nvars, modulus)
+        if eliminated is not None:
+            coords, top = eliminated, False
+            continue
 
-    # Cronin fast path: product of lowest degrees when the lowest system
-    # has 0 as its only common zero
-    degrees, isolated = _lowest_isolated(coords, nvars, ctx.cap)
-    if isolated:
-        return math.prod(degrees)
-    cronin_witness = None
-    if isolated is False:
-        cronin_witness = (
-            "the lowest-degree homogeneous system has a positive-dimensional "
-            "zero set (evidence of a non-isolated zero, not a proof)"
-        )
+        # general engine
+        ctx.engine_used = True
+        value, d_star, dims = _stabilize(coords, nvars, ctx.cap,
+                                         witness=cronin_witness)
+        if top:
+            ctx.top_certificate = (d_star, dims)
+        return scale * value
 
-    # solve out a variable that occurs linearly in one coordinate and in
-    # no other term of that coordinate
+
+def _eliminate_linear(coords: list[Poly], nvars: int,
+                      modulus: int) -> list[Poly] | None:
+    """The system with the first variable that occurs linearly in a
+    coordinate, and in no other term of it, solved for and substituted
+    away, that coordinate dropped; None when there is no such variable
+    within the substitution size guard."""
     for j, p in enumerate(coords):
         for i in range(nvars):
             linear_mono = tuple(1 if k == i else 0 for k in range(nvars))
@@ -425,20 +473,10 @@ def _mult(coords: list[Poly], ctx: _Context, top: bool) -> int:
                 continue
             values = [Poly.variable(k, nvars, modulus) for k in range(nvars)]
             values[i] = solution
-            new_coords = [
-                q.substitute(values) for k, q in enumerate(coords) if k != j
-            ]
             keep = [k for k in range(nvars) if k != i]
-            new_coords = [q.restrict_vars(keep) for q in new_coords]
-            return _mult(new_coords, ctx, False)
-
-    # general engine
-    ctx.engine_used = True
-    value, d_star, dims = _stabilize(coords, nvars, ctx.cap,
-                                     witness=cronin_witness)
-    if top:
-        ctx.top_certificate = (d_star, dims)
-    return value
+            return [q.substitute(values).restrict_vars(keep)
+                    for k, q in enumerate(coords) if k != j]
+    return None
 
 
 def _check_square(f: GermMap):

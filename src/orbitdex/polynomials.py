@@ -98,10 +98,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def constant_term(self) -> CyclotomicNumber:
-        zero_mono = (0,) * self.nvars
-        return self.terms.get(zero_mono, CyclotomicNumber.zero(self.modulus))
-
     def lowest_degree(self) -> int:
         return min((sum(m) for m in self.terms), default=-1)
 
@@ -202,6 +198,10 @@ class Poly:
     def __pow__(self, n: int) -> Poly:
         if n < 0:
             raise ValueError("negative polynomial power")
+        if len(self.terms) == 1:
+            # a monomial power is one term: (c x^e)^n = c^n x^(e n)
+            (mono, c), = self.terms.items()
+            return self._wrap({tuple(e * n for e in mono): c ** n})
         result = Poly.constant(1, self.nvars, self.modulus)
         base = self
         while n:
@@ -232,8 +232,7 @@ class Poly:
         monomial dividing the polynomial); all zeros for the zero poly."""
         if not self.terms:
             return (0,) * self.nvars
-        mins = [min(m[i] for m in self.terms) for i in range(self.nvars)]
-        return tuple(mins)
+        return tuple(map(min, zip(*self.terms)))
 
     def divide_monomial(self, mono) -> Poly:
         """Exact division by x^mono; every term must be divisible."""
@@ -247,15 +246,16 @@ class Poly:
 
     def restrict_vars(self, keep) -> Poly:
         """Set variables outside keep to zero, then renumber the kept
-        variables in increasing order of their old index."""
+        variables in increasing order of their old index.  The kept terms
+        map to distinct monomials, so no coefficient merges or cancels."""
         keep = sorted(keep)
-        keep_set = set(keep)
+        drop = set(range(self.nvars)).difference(keep)
         out = {}
         for m, c in self.terms.items():
-            if any(e and j not in keep_set for j, e in enumerate(m)):
+            if any(m[j] for j in drop):
                 continue
             out[tuple(m[j] for j in keep)] = c
-        return Poly(len(keep), self.modulus, out)
+        return self._wrap(out, len(keep))
 
     def rename_vars(self, new_index, new_nvars: int) -> Poly:
         """Reindex variables: old variable j becomes new_index[j]."""
@@ -326,9 +326,11 @@ class Poly:
 
     # -- plumbing ---------------------------------------------------------
 
-    def _wrap(self, terms: dict) -> Poly:
+    def _wrap(self, terms: dict, nvars: int | None = None) -> Poly:
+        """A Poly of this field over terms that are already valid: no
+        validation, no copy."""
         p = object.__new__(Poly)
-        p.nvars = self.nvars
+        p.nvars = self.nvars if nvars is None else nvars
         p.modulus = self.modulus
         p.terms = terms
         return p
@@ -367,10 +369,11 @@ class GermMap:
                 f"a germ map needs exactly nvars={nvars} coordinates, "
                 f"got {len(coords)}"
             )
+        origin = (0,) * nvars
         for j, p in enumerate(coords):
             if p.nvars != nvars or p.modulus != modulus:
                 raise ValueError(f"coordinate {j + 1} lives in the wrong ring")
-            if not p.constant_term().is_zero():
+            if origin in p.terms:
                 raise ValueError(f"coordinate {j + 1} has a nonzero constant term")
         self.nvars = nvars
         self.modulus = modulus

@@ -8,7 +8,9 @@ the per-writer term formatters that CyclotomicNumber.terms and
 join_terms replaced, the extended-Euclid inverse over Fractions that
 the integer Galois-adjugate inverse replaced, and the dense Jordan and
 linear-part matrices with the two-walk normal-form check and eigenvalue
-strip that the one-walk validate_rnf replaced."""
+strip that the one-walk validate_rnf replaced, Poly.constant_term, and
+the recursive _mult, which peeled one single-variable coordinate per
+call, that the one-pass peel and the reduction loop replaced."""
 
 from __future__ import annotations
 
@@ -27,9 +29,11 @@ import pytest
 from orbitdex import GermMap, GermParseError, JordanSpec, Poly, parse_germ
 from orbitdex.cyclotomic import (CyclotomicNumber, cyclotomic_polynomial,
                                  root_of_unity)
-from orbitdex.multiplicity import (DEFAULT_DEGREE_CAP, _adopt, _check_square,
+from orbitdex.multiplicity import (_ELIM_TERM_BUDGET, DEFAULT_DEGREE_CAP,
+                                   MultiplicityResult, NotIsolatedWithinBound,
+                                   _adopt, _check_square, _Context,
                                    _integral_rows, _lowest_isolated,
-                                   _strip_content)
+                                   _stabilize, _strip_content)
 from orbitdex.jordan import global_order
 from orbitdex.polynomials import grevlex_key
 from orbitdex.resonance import (NormalFormVerdict, ResonanceContext,
@@ -498,3 +502,144 @@ def reference_strip_eigenvalues(spec: JordanSpec, f: GermMap) -> GermMap:
         lam = matrix[j][j]
         coords.append(p - Poly.variable(j, f.nvars, f.modulus) * lam)
     return GermMap(coords, nvars=f.nvars, modulus=f.modulus)
+
+
+# -- the constant term and the recursive multiplicity reductions -------------
+
+def constant_term(p: Poly) -> CyclotomicNumber:
+    zero_mono = (0,) * p.nvars
+    return p.terms.get(zero_mono, CyclotomicNumber.zero(p.modulus))
+
+
+def _drop_coordinate_and_variable(coords, drop_coord: int, var: int):
+    keep = [j for j in range(coords[0].nvars) if j != var]
+    return [
+        p.restrict_vars(keep)
+        for j, p in enumerate(coords)
+        if j != drop_coord
+    ]
+
+
+def reference_mult(coords: list[Poly], ctx: _Context, top: bool) -> int:
+    nvars = coords[0].nvars if coords else 0
+    if nvars == 0:
+        return 1
+    modulus = coords[0].modulus
+
+    for j, p in enumerate(coords):
+        if p.is_zero():
+            raise NotIsolatedWithinBound(
+                ctx.cap, witness=f"a coordinate vanishes identically "
+                                 f"(position {j + 1} of a reduced system)",
+                definite=True)
+        if not constant_term(p).is_zero():
+            # the system has no zero at the origin at all
+            return 0
+
+    # single-variable coordinate: set that variable to zero and drop it
+    for j, p in enumerate(coords):
+        if len(p.terms) == 1:
+            (mono, _), = p.terms.items()
+            if sum(mono) == 1:
+                var = mono.index(1)
+                return reference_mult(
+                    _drop_coordinate_and_variable(coords, j, var), ctx, False)
+
+    # a variable missing from every coordinate gives a product zero set
+    used = [False] * nvars
+    gcds = [0] * nvars
+    for p in coords:
+        for mono in p.terms:
+            for i, e in enumerate(mono):
+                if e:
+                    used[i] = True
+                    gcds[i] = math.gcd(gcds[i], e)
+    if not all(used):
+        miss = used.index(False)
+        raise NotIsolatedWithinBound(
+            ctx.cap, witness=f"variable x{miss + 1} appears in no coordinate, "
+                             f"so the zero set contains its axis",
+            definite=True)
+
+    # common exponent gcd: divide out, scale by the product
+    if any(g >= 2 for g in gcds):
+        factor = math.prod(gcds)
+        reduced = [
+            Poly(nvars, modulus,
+                 {tuple(e // g for e, g in zip(m, gcds)): c
+                  for m, c in p.terms.items()})
+            for p in coords
+        ]
+        return factor * reference_mult(reduced, ctx, False)
+
+    # monomial content: split additively, one variable factor at a time
+    for j, p in enumerate(coords):
+        content = p.monomial_content()
+        if any(content):
+            total = 0
+            for i, a in enumerate(content):
+                if a:
+                    branch = list(coords)
+                    branch[j] = Poly.variable(i, nvars, modulus)
+                    total += a * reference_mult(branch, ctx, False)
+            branch = list(coords)
+            branch[j] = p.divide_monomial(content)
+            total += reference_mult(branch, ctx, False)
+            return total
+
+    # Cronin fast path: product of lowest degrees when the lowest system
+    # has 0 as its only common zero
+    degrees, isolated = _lowest_isolated(coords, nvars, ctx.cap)
+    if isolated:
+        return math.prod(degrees)
+    cronin_witness = None
+    if isolated is False:
+        cronin_witness = (
+            "the lowest-degree homogeneous system has a positive-dimensional "
+            "zero set (evidence of a non-isolated zero, not a proof)"
+        )
+
+    # solve out a variable that occurs linearly in one coordinate and in
+    # no other term of that coordinate
+    for j, p in enumerate(coords):
+        for i in range(nvars):
+            linear_mono = tuple(1 if k == i else 0 for k in range(nvars))
+            c = p.terms.get(linear_mono)
+            if c is None:
+                continue
+            rest = p - Poly(nvars, modulus, {linear_mono: c})
+            if any(m[i] for m in rest.terms):
+                continue
+            solution = rest * (-(c.invert()))
+            # substitution size guard: skip when it could blow up
+            max_exp = max((m[i] for q in coords for m in q.terms), default=0)
+            if len(solution.terms) ** max(max_exp, 1) > _ELIM_TERM_BUDGET:
+                continue
+            values = [Poly.variable(k, nvars, modulus) for k in range(nvars)]
+            values[i] = solution
+            new_coords = [
+                q.substitute(values) for k, q in enumerate(coords) if k != j
+            ]
+            keep = [k for k in range(nvars) if k != i]
+            new_coords = [q.restrict_vars(keep) for q in new_coords]
+            return reference_mult(new_coords, ctx, False)
+
+    # general engine
+    ctx.engine_used = True
+    value, d_star, dims = _stabilize(coords, nvars, ctx.cap,
+                                     witness=cronin_witness)
+    if top:
+        ctx.top_certificate = (d_star, dims)
+    return value
+
+
+def reference_multiplicity(f: GermMap, degree_cap: int = DEFAULT_DEGREE_CAP):
+    """multiplicity(f, degree_cap) with reference_mult in place of _mult."""
+    _check_square(f)
+    ctx = _Context(degree_cap)
+    value = reference_mult(list(f.coords), ctx, True)
+    if ctx.top_certificate is not None:
+        d_star, dims = ctx.top_certificate
+        return MultiplicityResult(value, fast_path=False,
+                                  stabilized_at=d_star, quotient_dims=dims)
+    return MultiplicityResult(value, fast_path=not ctx.engine_used)

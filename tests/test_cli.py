@@ -10,6 +10,7 @@ import pytest
 
 from orbitdex import ConsistencyError, cli, parse_germ, resonance
 from orbitdex.cli import main
+from orbitdex.jordan import MAX_DIMENSION
 from conftest import fixture_dir
 
 WORKED = """\
@@ -476,6 +477,29 @@ def test_realize_matrix_order_bound(capsys):
     code, out, _ = run(capsys, "realize", "[(1,2,1);(1,2049,1)]",
                        "--seq", "2:1,2049:1,4098:1")
     assert code == 1 and "exceeds the supported bound 2048" in out
+
+
+def test_realize_one_block_of_1500(capsys):
+    """Each reduced system of the check peels its single-variable
+    coordinates in one pass; one peel per call made this cubic in n."""
+    with alarm(60, "realize on one block of size 1500"):
+        code, out, _ = run(capsys, "--json", "--no-timing", "realize",
+                           "[(1500,2,1)]", "--seq", "1:1,2:1")
+    assert code == 0
+    assert json.loads(out)["results"]["counts"] == {"1": 1, "2": 1}
+
+
+@pytest.mark.parametrize("command, rest", [
+    (("matrix", "pe"), ()), (("matrix", "universal"), ()),
+    (("admissible",), ("--seq", "1:1,2:1")),
+    (("realize",), ("--seq", "1:1,2:1"))])
+def test_matrix_dimension_bound(capsys, command, rest):
+    code, out, err = run(capsys, "--json", "--no-timing", *command,
+                         f"[(1,2,1);({MAX_DIMENSION},2,1)]", *rest)
+    assert code == 2 and out == ""
+    assert err == (f"parse error: line 1, col 10: matrix dimension "
+                   f"{MAX_DIMENSION + 1} exceeds the supported bound "
+                   f"{MAX_DIMENSION}\n")
 
 
 @pytest.mark.parametrize("matrix, seq, exponent", [

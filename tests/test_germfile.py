@@ -11,10 +11,10 @@ from orbitdex import (GermDocument, GermMap, GermParseError, JordanBlock,
                       JordanSpec, Poly, parse_germ, print_germ)
 from orbitdex.cyclotomic import CyclotomicNumber, euler_phi, root_of_unity
 from orbitdex.germfile import _format_polynomial, _position, _tokenize
-from orbitdex.jordan import global_order
-from conftest import (jordan_matrix, linear_part, load_fixtures, poly_of_terms,
-                      reference_cyclotomic_str, reference_format_polynomial,
-                      reference_tokenize)
+from orbitdex.jordan import MAX_DIMENSION, global_order
+from conftest import (constant_term, jordan_matrix, linear_part, load_fixtures,
+                      poly_of_terms, reference_cyclotomic_str,
+                      reference_format_polynomial, reference_tokenize)
 
 CANONICAL = """\
 matrix {
@@ -234,7 +234,7 @@ def test_parsed_terms_match_poly_arithmetic(case):
     text = f"matrix {{\n{matrix}\n}}\nmap {{\n{body}\n}}\n"
     want = [poly_of_terms(terms, spec, modulus) for terms in coords]
     constant = next((j for j, p in enumerate(want)
-                     if not p.constant_term().is_zero()), None)
+                     if not constant_term(p).is_zero()), None)
     if constant is not None:
         with pytest.raises(GermParseError,
                            match=f"coordinate f{constant + 1} has a nonzero "
@@ -309,6 +309,23 @@ def test_matrix_order_bound():
             "  block { size = 1, order = 3, power = 1 }\n}\nmap { }\n")
     with pytest.raises(GermParseError, match="matrix order 3072") as exc:
         parse_germ(text)
+    assert (exc.value.line, exc.value.col) == (3, 3)
+
+
+def test_matrix_dimension_bound():
+    """The blocks may add up to MAX_DIMENSION (the parse goes on to the
+    map); one more is refused at the block that crosses the bound."""
+    def text(last):
+        return ("matrix {\n  block { size = 1, order = 2, power = 1 }\n"
+                f"  block {{ size = {last}, order = 3, power = 1 }}\n}}\n"
+                "map { }\n")
+
+    with pytest.raises(GermParseError, match="missing coordinate"):
+        parse_germ(text(MAX_DIMENSION - 1))
+    with pytest.raises(GermParseError,
+                       match=f"matrix dimension {MAX_DIMENSION + 1} exceeds "
+                             f"the supported bound {MAX_DIMENSION}") as exc:
+        parse_germ(text(MAX_DIMENSION))
     assert (exc.value.line, exc.value.col) == (3, 3)
 
 

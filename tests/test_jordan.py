@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitdex import (JordanBlock, JordanSpec, SequenceTarget, global_order,
-                      is_admissible, parse_inline_matrix, period_set)
-from orbitdex.jordan import period_mask
+from orbitdex import (GermParseError, JordanBlock, JordanSpec, SequenceTarget,
+                      global_order, is_admissible, parse_inline_matrix,
+                      period_set)
+from orbitdex.jordan import MAX_DIMENSION, period_mask
 
 B = JordanBlock
 
@@ -106,6 +107,19 @@ def test_inline_matrix_round_trip():
         parse_inline_matrix("[(1,2)]")
     with pytest.raises(ValueError):
         parse_inline_matrix("(1,2,1)")
+
+
+def test_inline_matrix_dimension_bound():
+    """A total size of MAX_DIMENSION parses; one more is refused at the
+    block that crosses the bound, before any germ is built."""
+    assert parse_inline_matrix(f"[({MAX_DIMENSION},2,1)]").n == MAX_DIMENSION
+    text = f" [ (1,2,1) ;  ({MAX_DIMENSION},3,1)]"
+    with pytest.raises(GermParseError) as err:
+        parse_inline_matrix(text)
+    assert (err.value.line, err.value.col) == (1, text.index("(", 5) + 1)
+    assert str(err.value).endswith(
+        f"matrix dimension {MAX_DIMENSION + 1} exceeds the supported bound "
+        f"{MAX_DIMENSION}")
 
 
 def test_sequence_target_parse():

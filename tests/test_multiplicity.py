@@ -1,7 +1,9 @@
 import functools
 import importlib
+import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,10 +14,11 @@ from hypothesis import strategies as st
 from orbitdex import (GermMap, NotIsolatedWithinBound, Poly, multiplicity,
                       parse_germ)
 from orbitdex.cyclotomic import root_of_unity
-from orbitdex.multiplicity import _packer
+from orbitdex.multiplicity import _monomials_of_degree, _packer
 from orbitdex.polynomials import grevlex_key, variables
 from conftest import (cronin, random_isolated_system, random_poly,
-                      truncated_quotient_dim, unpack_key)
+                      reference_multiplicity, truncated_quotient_dim,
+                      unpack_key)
 
 
 def system(*coords):
@@ -633,3 +636,143 @@ def test_engine_builds_only_rows_that_can_change_q_d(monkeypatch):
     built = sum(math.comb(d - 1 - o + n - 1, n - 1)
                 for o in orders for d in range(o + 1, result.stabilized_at + 2))
     assert sum(len(rows) for _, rows in steps[-1]) == built
+
+
+def _reducible_system(rng, nvars: int, modulus: int) -> GermMap:
+    """A square system built to reach every closed-form reduction.  Some
+    coordinates are single variables (one may repeat, and then a copy
+    vanishes); each other coordinate has a core in the remaining, free
+    variables, plus terms that carry a peeled variable and so vanish in
+    the peel.  A core is a free variable (a chain: a single variable once
+    peeled), nothing (the coordinate vanishes), a monomial multiple, a
+    linear-elimination candidate, x_a^2 - x_a*x_b + x_b^k, whose lowest
+    forms share the zero x_a = x_b and so send the system past the Cronin
+    product, or random terms.  Now and then every exponent of a variable
+    is scaled by a common factor."""
+    def coeff():
+        c = Fraction(rng.choice([-2, -1, 1, 1, 2, 3]), rng.choice([1, 1, 2]))
+        if modulus == 1:
+            return c
+        return root_of_unity(modulus, rng.randrange(modulus), modulus) * c
+
+    def mono(degree, among):
+        m = [0] * nvars
+        for _ in range(degree):
+            m[rng.choice(among)] += 1
+        return tuple(m)
+
+    def unit(*variables):
+        return tuple(variables.count(i) for i in range(nvars))
+
+    peeled = rng.sample(range(nvars), rng.randrange(nvars))
+    free = [i for i in range(nvars) if i not in peeled]
+    coords = [{unit(v): coeff()} for v in peeled]
+    if peeled and rng.random() < 0.2:
+        coords.append({unit(rng.choice(peeled)): coeff()})
+    unchained = rng.sample(free, len(free))
+    kinds = ["chain", "content", "linear", "tangent", "random"]
+    kinds += [rng.choice(kinds)] * 4 + ["survivor"]  # mostly of one kind
+    while len(coords) < nvars:
+        kind = rng.choice(kinds)
+        terms = {}
+        if kind == "chain":
+            # a fresh free variable while there is one, so that most
+            # chains peel; a repeat vanishes in the second peel
+            w = unchained.pop() if unchained else rng.choice(free)
+            terms[unit(w)] = coeff()
+        elif kind == "content":
+            lead = mono(rng.randint(1, 2), free)
+            for _ in range(rng.randint(1, 3)):
+                m = mono(rng.randint(0, 2), free)
+                terms[tuple(a + b for a, b in zip(lead, m))] = coeff()
+        elif kind == "linear" and len(free) > 1:
+            i = rng.choice(free)
+            terms[unit(i)] = coeff()
+            rest = [k for k in free if k != i]
+            for _ in range(rng.randint(1, 3)):
+                terms[mono(rng.randint(1, 3), rest)] = coeff()
+        elif kind == "tangent" and len(free) > 1:
+            a, b = rng.sample(free[:2], 2)
+            c = coeff()
+            terms[unit(a, a)] = c
+            terms[unit(a, b)] = -c
+            if rng.random() < 0.8:  # else the zero need not be isolated
+                terms[mono(rng.randint(3, 4), [b])] = coeff()
+        elif kind != "survivor" or not peeled:
+            for _ in range(rng.randint(1, 3)):
+                terms[mono(rng.randint(1, 3), free)] = coeff()
+        for _ in range(rng.randint(0, 2) if peeled else 0):
+            m = list(mono(rng.randint(0, 2), range(nvars)))
+            m[rng.choice(peeled)] += 1
+            terms[tuple(m)] = coeff()
+        coords.append(terms)
+    rng.shuffle(coords)
+    scale = [rng.choice([1, 1, 2, 3]) if rng.random() < 0.3 else 1
+             for _ in range(nvars)]
+    return GermMap([Poly(nvars, modulus,
+                         {tuple(e * g for e, g in zip(m, scale)): c
+                          for m, c in terms.items()})
+                    for terms in coords])
+
+
+def _outcome(fn, f, cap):
+    try:
+        return fn(f, degree_cap=cap)
+    except NotIsolatedWithinBound as exc:
+        return type(exc), exc.definite
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), nvars=st.integers(1, 4),
+       modulus=st.sampled_from([1, 1, 3, 4]))
+def test_reduction_loop_matches_the_recursive_reductions(seed, nvars, modulus):
+    """The one-pass peel and the reduction loop give the value and the
+    certificate of the recursive reductions, one peel per call, that they
+    replaced; a refusal has the same class and definiteness."""
+    f = _reducible_system(random.Random(seed), nvars, modulus)
+    assert _outcome(multiplicity, f, 12) == \
+        _outcome(reference_multiplicity, f, 12)
+
+
+def test_peels_keep_the_call_depth_flat():
+    """The 300-variable identity is peeled in one pass: under a recursion
+    limit of 200 it still has order 1 (one call per peel overflowed)."""
+    identity = GermMap(variables(300))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        result = multiplicity(identity)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (result.value, result.fast_path) == (1, True)
+
+
+def test_a_peel_that_zeroes_a_coordinate_names_its_reduced_position():
+    """(x1, x2, x1*x3 + x1^2): x1 and x2 are peeled in one pass, which
+    leaves (0) in x3, so position 1 vanishes (peeling x1 alone first left
+    (x2, 0), position 2)."""
+    x1, x2, x3 = variables(3)
+    with pytest.raises(NotIsolatedWithinBound) as err:
+        multiplicity(system(x1, x2, x1 * x3 + x1**2))
+    assert err.value.definite
+    assert err.value.witness == ("a coordinate vanishes identically "
+                                 "(position 1 of a reduced system)")
+
+
+@pytest.mark.parametrize("nvars, degree", [
+    (n, d) for n in range(1, 5) for d in range(6)] + [(2, 17), (6, 3)])
+def test_monomials_of_degree_in_grevlex_order(nvars, degree):
+    brute = [m for m in itertools.product(range(degree + 1), repeat=nvars)
+             if sum(m) == degree]
+    assert _monomials_of_degree(nvars, degree) == sorted(brute, key=grevlex_key)
+
+
+def test_monomials_of_degree_do_not_recurse_on_nvars():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        linear = _monomials_of_degree(1500, 1)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert linear == sorted((tuple(int(k == i) for k in range(1500))
+                             for i in range(1500)), key=grevlex_key)

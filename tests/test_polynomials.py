@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from orbitdex import GermMap, Poly, parse_germ
 from orbitdex.cyclotomic import root_of_unity
 from orbitdex.polynomials import TermBudgetExceeded, grevlex_key, variables
-from conftest import linear_part
+from conftest import constant_term, linear_part
 
 
 def test_arith_examples():
@@ -144,7 +144,7 @@ def test_compose_linear_part_is_matrix_product(f, g):
     lp_f, lp_g = linear_part(f), linear_part(g)
     n = f.nvars
     product = [[sum((lp_f[i][k] * lp_g[k][j] for k in range(n)),
-                    start=Poly.zero(1).constant_term())
+                    start=constant_term(Poly.zero(1)))
                 for j in range(n)] for i in range(n)]
     assert linear_part(f.compose(g)) == product
 
@@ -159,3 +159,28 @@ def test_truncate_agrees_below(f, d):
         for mono, c in p.terms.items():
             if sum(mono) < d:
                 assert q.terms[mono] == c
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from([1, 3, 4, 6]), st.integers(0, 6), st.integers(-3, 3),
+       st.lists(st.integers(0, 3), min_size=2, max_size=2), st.integers(0, 7))
+def test_monomial_power_is_repeated_multiplication(modulus, k, scale, mono, n):
+    """A one-term power, built in closed form as c^n x^(e n), equals the
+    product of n copies, the n = 0 power being the constant 1."""
+    c = root_of_unity(modulus, k % modulus, modulus) * (scale or 1)
+    p = Poly(2, modulus, {tuple(mono): c})
+    product = Poly.constant(1, 2, modulus)
+    for _ in range(n):
+        product = product.mul(p)
+    assert p ** n == product
+    assert p ** n == Poly(2, modulus, {tuple(e * n for e in mono): c ** n})
+
+
+def test_restrict_vars_sets_the_rest_to_zero():
+    x1, x2, x3 = variables(3)
+    p = 2 * x1 * x3 + x2**2 - x3**4 + x1 * x2
+    y1, y2 = variables(2)
+    assert p.restrict_vars([2, 0]) == 2 * y1 * y2 - y2**4
+    assert p.restrict_vars([]) == Poly.zero(0)
+    with pytest.raises(ValueError):  # the result keeps its two variables
+        p.restrict_vars([0, 2]) + x1
