@@ -101,7 +101,7 @@ def _cmd_check(args, rep: _Reporter) -> int:
     verdict = validate_rnf(doc.matrix, doc.gmap)
     if not verdict.ok:
         return _fail(rep, verdict.describe())
-    # at q = M the mask selects every coordinate, so the full-period
+    # the period part of q = M holds every block, so the full-period
     # order is that of the whole stripped map
     try:
         full = multiplicity(verdict.stripped, args.degree_cap).value

@@ -32,21 +32,31 @@ from fractions import Fraction
 from operator import add, neg, sub
 
 
+def prime_factors(q: int) -> list[int]:
+    """Distinct prime factors of a positive integer, in increasing order,
+    by trial division."""
+    out = []
+    p = 2
+    while p * p <= q:
+        if q % p == 0:
+            out.append(p)
+            while q % p == 0:
+                q //= p
+        p += 1
+    if q > 1:
+        out.append(q)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
 def euler_phi(m: int) -> int:
-    """Euler's totient of a positive integer."""
+    """Euler's totient of a positive integer, m * prod(1 - 1/p) over its
+    prime factors p."""
     if m < 1:
         raise ValueError(f"euler_phi expects a positive integer, got {m}")
-    result = m
-    k, p = m, 2
-    while p * p <= k:
-        if k % p == 0:
-            while k % p == 0:
-                k //= p
-            result -= result // p
-        p += 1
-    if k > 1:
-        result -= result // k
-    return result
+    for p in prime_factors(m):
+        m -= m // p
+    return m
 
 
 # -- dense univariate integer polynomials (internal helpers) ----------------

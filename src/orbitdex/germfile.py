@@ -272,14 +272,21 @@ class _Parser:
 
     def term(self) -> _Term:
         # every partial product is held under the digit bound, so no
-        # product is formed from factors of more than _MAX_DIGITS digits
+        # product is formed from factors of more than _MAX_DIGITS digits;
+        # and every exponent of the monomial under MAX_EXPONENT, so the
+        # printed term parses back
         mono, c = self.atom()
         if c is not None:
             self.check_coefficient(c)
         while self.peek() == "*":
             self.next()
+            tok = self.tokens[self.pos]
             factor, d = self.atom()
             mono = tuple(map(add, mono, factor))
+            top = max(mono)
+            if top > MAX_EXPONENT:
+                self.fail(f"exponent {top} exceeds the supported bound "
+                          f"{MAX_EXPONENT}", tok)
             if d is not None:
                 c = d if c is None else c * d
                 self.check_coefficient(c)

@@ -4,8 +4,9 @@ A block is (size k, order d, power r) and carries the eigenvalue
 e^(2 pi i r/d) with gcd(r, d) = 1.  Everything downstream consumes the
 block list: coordinate offsets, the block index of each coordinate, the
 set of periods of nonzero periodic points of x -> Ax, the global order
-M = lcm(d_j), and the 0/1 coordinate masks that select the coordinates
-whose block order divides a given q.
+M = lcm(d_j), and the period part of each q: the blocks whose order
+divides q, whose coordinates are the fixed subspace of A^q's diagonal
+part.
 """
 
 from __future__ import annotations
@@ -110,23 +111,6 @@ class JordanSpec:
         return tuple(b.order for b in self.blocks)
 
 
-@dataclass(frozen=True)
-class CoordMask:
-    """A 0/1 word over the coordinates; selects a coordinate subspace."""
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("mask bits must be 0 or 1")
-
-    def support(self) -> list[int]:
-        return [j for j, b in enumerate(self.bits) if b]
-
-    def is_zero(self) -> bool:
-        return not any(self.bits)
-
-
 def period_set(spec: JordanSpec) -> set[int]:
     """All periods of nonzero periodic points of the linear map: the lcms
     of the orders over nonempty block subsets.  Built one order at a time
@@ -152,15 +136,12 @@ def bounded_order(spec: JordanSpec) -> int:
     return modulus
 
 
-def period_mask(spec: JordanSpec, q: int) -> CoordMask:
-    """Select the coordinates whose block order divides q."""
+def period_blocks(spec: JordanSpec, q: int) -> tuple[int, ...]:
+    """The period part of q: the indices of the blocks whose order
+    divides q.  The only place that decides it."""
     if q < 1:
-        raise ValueError("mask period must be positive")
-    bits = []
-    for j, b in enumerate(spec.blocks):
-        bit = 1 if q % b.order == 0 else 0
-        bits.extend([bit] * b.size)
-    return CoordMask(tuple(bits))
+        raise ValueError("period must be positive")
+    return tuple(j for j, b in enumerate(spec.blocks) if q % b.order == 0)
 
 
 @dataclass(frozen=True)

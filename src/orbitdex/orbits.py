@@ -2,22 +2,25 @@
 
 For a germ in resonant polynomial normal form, the index of the q-th
 iterate equals the zero order of the eigenvalue-stripped map projected to
-the coordinates whose block order divides q; an empty projection means
-the identity-minus-linear-part is invertible and the index is 1.  One
-table, _iterate_indices, holds that rule: one validate_rnf call checks
-the normal form and yields the stripped map, and every index that
-fixed_point_index, the Dold indices and orbit_spectrum use is read from
-it.  The direct route computes the same index as the zero order of
-f^q - id by actual composition (exponential in q; jet determinacy lets
-the composition be truncated adaptively).
+the period part of q, the coordinates of the blocks whose order divides
+q (jordan.period_blocks); a q with no such block has an invertible
+identity-minus-linear-part and index 1.  One table, _iterate_indices,
+holds that rule: one validate_rnf call checks the normal form and yields
+the stripped map, which is projected once per period part and kept
+beside its index.  Every index that fixed_point_index, the Dold indices
+and orbit_spectrum use, and every projected map the division route
+reads, comes from it.  The direct route computes the same index as the
+zero order of f^q - id by actual composition (exponential in q; jet
+determinacy lets the composition be truncated adaptively).
 
 Dold indices combine iterate indices by inclusion-exclusion over the
 prime subsets of q; dividing by q yields the count of period-q orbits
-concealed at the fixed point.  For every d in the period set, the masked
-zero order also equals sum(q * count_q) over the divisors q of d in the
-period set, a triangular system that solve_counts_triangular inverts
-independently as a cross-check.  The per-period division route checks
-each count at q >= 2 once more: on the q-mask, dividing the block-end
+concealed at the fixed point.  For every d in the period set, the zero
+order on the period part of d also equals sum(q * count_q) over the
+divisors q of d in the period set, a triangular system that
+solve_counts_triangular inverts independently as a cross-check.  The
+per-period division route checks each count at q >= 2 once more: on the
+projected map of the period part of q, dividing the block-end
 coordinates of the essential blocks by their lead variables leaves a map
 whose zero order is q times the count at q.  Direct composition checks
 q = 1, where it is just f - id, and is the fallback for a small q that
@@ -30,7 +33,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .jordan import JordanSpec, period_mask, period_set
+from .cyclotomic import prime_factors
+from .jordan import JordanSpec, period_blocks, period_set
 from .multiplicity import (DEFAULT_DEGREE_CAP, NotIsolatedWithinBound,
                            multiplicity)
 from .polynomials import GermMap, TermBudgetExceeded
@@ -47,22 +51,6 @@ DIRECT_CHECK_TERM_LIMIT = 2_000
 
 class ConsistencyError(RuntimeError):
     """An identity the theory guarantees failed; indicates an engine bug."""
-
-
-def prime_factors(q: int) -> list[int]:
-    """Distinct prime factors by trial division (q here divides a small
-    matrix order)."""
-    out = []
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            out.append(p)
-            while q % p == 0:
-                q //= p
-        p += 1
-    if q > 1:
-        out.append(q)
-    return out
 
 
 def direct_iterate_index(f: GermMap, q: int, degree_cap: int = DEFAULT_DEGREE_CAP,
@@ -104,29 +92,43 @@ def direct_iterate_index(f: GermMap, q: int, degree_cap: int = DEFAULT_DEGREE_CA
                 f"its truncation budget for q={q}")
 
 
+@dataclass(frozen=True)
+class _PeriodPart:
+    """The period part of q: its blocks as a matrix of their own, the
+    stripped map projected to their coordinates, and the zero order of
+    that map, which is the index of f^q.  With no block, spec and gmap
+    are None and the index is 1."""
+    spec: JordanSpec | None
+    gmap: GermMap | None
+    index: int
+
+
 def _iterate_indices(spec: JordanSpec, f: GermMap, degree_cap: int
-                     ) -> tuple[GermMap, Callable[[int], int]]:
-    """The stripped map and the q -> index table of a germ in resonant
-    polynomial normal form.
+                     ) -> Callable[[int], _PeriodPart]:
+    """The q -> period part table of a germ in resonant polynomial
+    normal form.
 
     One validate_rnf call checks the normal form and strips the
-    eigenvalues; each index is the zero order of the stripped map
-    projected to the q-mask, cached on the mask bits (the only thing the
-    value depends on).
+    eigenvalues; the stripped map is projected once per distinct block
+    set (the only thing a part depends on), and the part is cached on it.
     """
     verdict = validate_rnf(spec, f)
     if not verdict.ok:
         raise ValueError(f"normal form required: {verdict.describe()}")
-    cache: dict[int, int] = {}
+    cache = {(): _PeriodPart(None, None, 1)}
 
-    def index(q: int) -> int:
-        mask = period_mask(spec, q)
-        if mask.bits not in cache:
-            cache[mask.bits] = 1 if mask.is_zero() else multiplicity(
-                project(verdict.stripped, mask), degree_cap).value
-        return cache[mask.bits]
+    def part(q: int) -> _PeriodPart:
+        blocks = period_blocks(spec, q)
+        if blocks not in cache:
+            keep = [c for j in blocks
+                    for c in range(spec.offsets[j], spec.offsets[j + 1])]
+            g = project(verdict.stripped, keep)
+            cache[blocks] = _PeriodPart(
+                JordanSpec(tuple(spec.blocks[j] for j in blocks)), g,
+                multiplicity(g, degree_cap).value)
+        return cache[blocks]
 
-    return verdict.stripped, index
+    return part
 
 
 def fixed_point_index(spec: JordanSpec, f: GermMap, q: int,
@@ -135,10 +137,11 @@ def fixed_point_index(spec: JordanSpec, f: GermMap, q: int,
     polynomial normal form (direct_iterate_index needs no normal form)."""
     if q < 1:
         raise ValueError("iterate exponent must be >= 1")
-    return _iterate_indices(spec, f, degree_cap)[1](q)
+    return _iterate_indices(spec, f, degree_cap)(q).index
 
 
-def _dold(index: Callable[[int], int], q: int, seen: dict[int, int]) -> int:
+def _dold(part: Callable[[int], _PeriodPart], q: int,
+          seen: dict[int, int]) -> int:
     """Inclusion-exclusion of iterate indices over the prime subsets of q;
     every index read is recorded in seen."""
     total = 0
@@ -146,55 +149,53 @@ def _dold(index: Callable[[int], int], q: int, seen: dict[int, int]) -> int:
     for subset in range(1 << len(primes)):
         chosen = [p for i, p in enumerate(primes) if subset >> i & 1]
         d = q // math.prod(chosen)
-        seen[d] = index(d)
+        seen[d] = part(d).index
         total += (-1) ** len(chosen) * seen[d]
     return total
 
 
-def solve_counts_triangular(spec: JordanSpec, mask_orders: dict[int, int]) -> dict[int, int]:
-    """Recover the orbit counts from masked zero orders.
+def solve_counts_triangular(spec: JordanSpec, part_orders: dict[int, int]) -> dict[int, int]:
+    """Recover the orbit counts from the zero orders of the period parts.
 
-    mask_orders maps each d in the period set (plus 1 when 1 is a period)
-    to the zero order of the d-masked stripped map; for 1 outside the
-    period set the order defaults to 1.  Solved in divisor order; a
-    non-integer or negative count means the input table is inconsistent.
+    part_orders maps each d in the period set (plus 1 when 1 is a period)
+    to the zero order of the stripped map projected to the period part of
+    d; for 1 outside the period set the order defaults to 1.  Solved in
+    divisor order; a non-integer or negative count means the input table
+    is inconsistent.
     """
     pe = period_set(spec)
     qs = sorted(pe | {1})
     counts: dict[int, int] = {}
     for q in qs:
-        if q in mask_orders:
-            pi_q = mask_orders[q]
+        if q in part_orders:
+            pi_q = part_orders[q]
         elif q == 1 and 1 not in pe:
             pi_q = 1
         else:
-            raise ValueError(f"missing masked order for d={q}")
+            raise ValueError(f"missing period-part order for d={q}")
         acc = pi_q - sum(p * counts[p] for p in qs if p < q and q % p == 0)
         if acc % q or acc < 0:
             raise ValueError(
-                f"inconsistent masked orders: count for q={q} would be {acc}/{q}")
+                f"inconsistent period-part orders: count for q={q} would be {acc}/{q}")
         counts[q] = acc // q
     return counts
 
 
-def _division_order(spec: JordanSpec, stripped: GermMap, q: int,
-                    degree_cap: int) -> int | str:
+def _division_order(part: _PeriodPart, degree_cap: int) -> int | str:
     """q times the count at q by the per-period division route, or why
     the route does not apply: "no witness", "shape", "divisibility" or
     "not isolated".
 
-    stripped is the eigenvalue-stripped map of a germ in normal form; q
-    is in the period set, so the blocks whose order divides q have lcm q.
+    part is the period part of a q in the period set, so its blocks have
+    lcm q.
     """
-    sub = JordanSpec(tuple(b for b in spec.blocks if q % b.order == 0))
-    witness = find_essential_blocks(sub)
+    witness = find_essential_blocks(part.spec)
     if witness is None:
         return "no witness"
-    masked = project(stripped, period_mask(spec, q))
-    if not lead_variable_shape_ok(sub, masked):
+    if not lead_variable_shape_ok(part.spec, part.gmap):
         return "shape"
     try:
-        divided = divide_by_leads(sub, masked, witness)
+        divided = divide_by_leads(part.spec, part.gmap, witness)
     except ValueError:
         return "divisibility"
     try:
@@ -228,14 +229,14 @@ def orbit_spectrum(spec: JordanSpec, f: GermMap, cross_check: bool = True,
     not isolated, or a composition past DIRECT_CHECK_TERM_LIMIT terms)
     is named in unchecked, and checks["iterates"] is then False.  A
     disagreement raises ConsistencyError."""
-    stripped, index = _iterate_indices(spec, f, degree_cap)
+    part = _iterate_indices(spec, f, degree_cap)
     pe = sorted(period_set(spec))
     qs = sorted(set(pe) | {1})
     mu: dict[int, int] = {}
     dold: dict[int, int] = {}
     counts: dict[int, int] = {}
     for q in qs:
-        dold[q] = _dold(index, q, mu)
+        dold[q] = _dold(part, q, mu)
         if dold[q] % q:
             raise ConsistencyError(
                 f"Dold index {dold[q]} for q={q} is not divisible by q")
@@ -253,7 +254,7 @@ def orbit_spectrum(spec: JordanSpec, f: GermMap, cross_check: bool = True,
         checks["triangular"] = True
         for q in qs:
             if q > 1:
-                order = _division_order(spec, stripped, q, degree_cap)
+                order = _division_order(part(q), degree_cap)
                 if isinstance(order, int):
                     if order != q * counts[q]:
                         raise ConsistencyError(

@@ -9,9 +9,10 @@ nonlinear term is resonant.
 
 validate_rnf decides the normal form and yields the eigenvalue-stripped
 map (f without its diagonal terms lambda_j x_j); project cuts a map down
-to a coordinate subspace; divide_by_leads divides designated block-end
-coordinates by their block's lead variable, which is what turns
-full-period orbit counts into a single multiplicity.
+to the coordinates it is given (in the index routes, those of the period
+part of q); divide_by_leads divides designated block-end coordinates by
+their block's lead variable, which is what turns full-period orbit
+counts into a single multiplicity.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 
 from .cyclotomic import CyclotomicNumber
-from .jordan import CoordMask, JordanSpec, global_order
+from .jordan import JordanSpec, global_order
 from .polynomials import GermMap, Poly, monomial_factors
 
 
@@ -114,13 +115,10 @@ def validate_rnf(spec: JordanSpec, f: GermMap) -> NormalFormVerdict:
     )
 
 
-def project(g: GermMap, mask: CoordMask) -> GermMap:
-    """Set the masked-out variables to zero and keep the selected
-    coordinates, renumbering variables in increasing order.  An all-zero
-    mask yields the empty (0-variable) germ."""
-    if len(mask.bits) != g.nvars:
-        raise ValueError("mask length must equal the number of variables")
-    keep = mask.support()
+def project(g: GermMap, keep: list[int]) -> GermMap:
+    """Set every variable outside keep (increasing 0-based indices) to
+    zero and keep the coordinates in keep, renumbering variables in
+    increasing order.  An empty keep yields the empty (0-variable) germ."""
     coords = [g.coords[j].restrict_vars(keep) for j in keep]
     return GermMap(coords, nvars=len(keep), modulus=g.modulus)
 
@@ -161,20 +159,15 @@ def lead_variable_shape_ok(spec: JordanSpec, stripped: GermMap) -> bool:
 def divide_by_leads(spec: JordanSpec, stripped: GermMap,
                     witness: tuple[int, ...]) -> GermMap:
     """Divide the block-end coordinate of each witness block by that
-    block's lead variable; other coordinates are kept.
+    block's lead variable; other coordinates are kept.  A coordinate that
+    is not divisible raises ValueError.
 
-    The input is the eigenvalue-stripped map of a germ in resonant normal
-    form whose block-end coordinates use only lead variables (checked).
+    Preconditions, which the caller checks: stripped is the
+    eigenvalue-stripped map of a germ in resonant normal form on spec's
+    n variables, witness is a non-empty tuple of block indices (as
+    find_essential_blocks returns), and lead_variable_shape_ok(spec,
+    stripped) holds.
     """
-    if stripped.nvars != spec.n:
-        raise ValueError("map and matrix sizes differ")
-    if not witness:
-        raise ValueError("empty witness")
-    if not lead_variable_shape_ok(spec, stripped):
-        raise ValueError(
-            "block-end coordinates must use only block lead variables; "
-            "rewrite the map into that shape first"
-        )
     coords = list(stripped.coords)
     n = spec.n
     for j in witness:

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from orbitdex.cyclotomic import (CyclotomicNumber, _reduction_rows,
                                  _zeta_power, cyclotomic_polynomial,
-                                 euler_phi, root_of_unity)
+                                 euler_phi, prime_factors, root_of_unity)
+from orbitdex.jordan import MAX_MODULUS
 from conftest import reference_invert
 
 
@@ -16,8 +17,14 @@ def test_module_doctests():
     import doctest
 
     import orbitdex.cyclotomic as module
-    failures, _ = doctest.testmod(module)
-    assert failures == 0
+    failures, attempted = doctest.testmod(module)
+    assert failures == 0 and attempted >= 5
+
+
+def test_totient_and_prime_factors_against_sympy():
+    for m in range(1, MAX_MODULUS + 1):
+        assert euler_phi(m) == sympy.totient(m), m
+        assert prime_factors(m) == sympy.primefactors(m), m
 
 
 def test_phi_against_sympy():

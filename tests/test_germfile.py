@@ -372,6 +372,22 @@ def test_constant_factors_bounded_before_they_are_formed():
     print_germ(doc)
 
 
+def test_monomial_exponent_bound():
+    # each factor is in bound but their product x1^2000000 is not, and
+    # the printer would write it as one power that the parser refuses:
+    # the term is refused at the factor that crosses the bound
+    text = ("matrix { block { size = 1, order = 2, power = 1 } }\n"
+            "map { f1 = L1*x1 + x1^1000000*x1^1000000; }\n")
+    with pytest.raises(GermParseError,
+                       match="exponent 2000000 exceeds the supported bound "
+                             "1000000") as exc:
+        parse_germ(text)
+    assert (exc.value.line, exc.value.col) == (2, 31)
+    doc = parse_germ(text.replace("x1^1000000*x1^1000000", "x1^999999*x1"))
+    assert (1000000,) in doc.gmap.coords[0].terms
+    assert parse_germ(print_germ(doc)) == doc
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(st.text(), token_soup()))
 @example(_canonical_with("L1*x1", "w(0,1)*x1"))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from orbitdex import (GermParseError, JordanBlock, JordanSpec, SequenceTarget,
                       global_order, is_admissible, parse_inline_matrix,
                       period_set)
-from orbitdex.jordan import MAX_DIMENSION, period_mask
+from orbitdex.jordan import MAX_DIMENSION, period_blocks
 
 B = JordanBlock
 
@@ -65,11 +65,11 @@ def test_global_order_examples():
     assert global_order(spec_of((1, 2, 1), (1, 6, 1), (1, 5, 1))) == 30
 
 
-def test_period_mask_examples():
+def test_period_blocks_examples():
     spec = spec_of((2, 6, 1), (1, 3, 1))
-    assert period_mask(spec, 3).bits == (0, 0, 1)
-    assert period_mask(spec, 6).bits == (1, 1, 1)
-    assert period_mask(spec, 2).bits == (0, 0, 0)
+    assert period_blocks(spec, 3) == (1,)
+    assert period_blocks(spec, 6) == (0, 1)
+    assert period_blocks(spec, 2) == ()
 
 
 def test_admissibility_examples():
@@ -170,23 +170,23 @@ def test_period_set_matches_the_subset_enumeration(orders):
 
 @settings(max_examples=60, deadline=None)
 @given(jordan_specs(), st.integers(1, 36), st.integers(1, 4))
-def test_period_mask_monotone_under_divisibility(spec, l, mult):
-    small = period_mask(spec, l).bits
-    large = period_mask(spec, l * mult).bits
-    assert all(a <= b for a, b in zip(small, large))
+def test_period_blocks_monotone_under_divisibility(spec, l, mult):
+    small = period_blocks(spec, l)
+    large = period_blocks(spec, l * mult)
+    assert set(small) <= set(large)
 
 
 @settings(max_examples=60, deadline=None)
 @given(jordan_specs(), st.integers(1, 40))
-def test_period_membership_matches_masks(spec, q):
-    """q is a period iff its mask is nonempty and q is the lcm of the
-    orders of the fully selected blocks (cross-check against the
-    subset-lcm enumeration)."""
+def test_period_membership_matches_period_blocks(spec, q):
+    """q is a period iff its period part is nonempty and q is the lcm of
+    the orders of its blocks (cross-check against the subset-lcm
+    enumeration)."""
     pe = period_set(spec)
-    mask = period_mask(spec, q)
-    selected = [b.order for b in spec.blocks if q % b.order == 0]
-    via_mask = bool(selected) and reduce(math.lcm, selected) == q
-    assert (q in pe) == via_mask
+    selected = [spec.blocks[j].order for j in period_blocks(spec, q)]
+    assert selected == [b.order for b in spec.blocks if q % b.order == 0]
+    via_blocks = bool(selected) and reduce(math.lcm, selected) == q
+    assert (q in pe) == via_blocks
 
 
 @settings(max_examples=40, deadline=None)

@@ -9,9 +9,10 @@ from orbitdex import (ConsistencyError, GermMap, JordanBlock, JordanSpec, Poly,
                       direct_iterate_index, fixed_point_index, multiplicity,
                       orbit_spectrum, parse_germ, validate_rnf)
 from orbitdex import orbits
+from orbitdex.jordan import period_blocks
 from orbitdex.orbits import prime_factors, solve_counts_triangular
 from orbitdex.polynomials import variables
-from orbitdex.resonance import divide_by_leads, find_essential_blocks
+from orbitdex.resonance import divide_by_leads, find_essential_blocks, project
 from orbitdex.universality import chain_coprime_germ, chain_germ
 from conftest import load_fixtures
 
@@ -39,7 +40,7 @@ def test_fixed_point_index_examples():
     spec, f = flip_cubic()
     assert fixed_point_index(spec, f, 2) == 3
     assert direct_iterate_index(f, 2) == 3
-    assert fixed_point_index(spec, f, 1) == 1          # empty mask
+    assert fixed_point_index(spec, f, 1) == 1          # no period block
     assert direct_iterate_index(f, 1) == 1
     doc = parse_germ(WORKED)
     assert fixed_point_index(doc.matrix, doc.gmap, 6) == 12
@@ -59,7 +60,7 @@ def test_dold_and_count_examples():
     assert sp.dold[2] == 3 - 1
     assert sp.counts[2] == 1
     # 4 is outside the period set: its Dold index is index(f^4) -
-    # index(f^2), zero because the masks at 4 and 2 are the same
+    # index(f^2), zero because the period parts of 4 and 2 are the same
     assert fixed_point_index(spec, f, 4) - fixed_point_index(spec, f, 2) == 0
     doc = parse_germ(WORKED)
     assert orbit_spectrum(doc.matrix, doc.gmap).dold[6] == 12 - 3 - 4 + 1
@@ -140,10 +141,10 @@ def test_direct_fallback_keeps_the_term_budget():
 
 
 def test_division_route_disagreement_is_a_consistency_error(monkeypatch):
-    # left undivided, the masked map at q = 2 has order mu(2) = 3, not
+    # left undivided, the projected map at q = 2 has order mu(2) = 3, not
     # 2 * count = 2
     monkeypatch.setattr(orbits, "divide_by_leads",
-                        lambda spec, masked, witness: masked)
+                        lambda spec, projected, witness: projected)
     doc = parse_germ(WORKED)
     with pytest.raises(ConsistencyError, match="division route"):
         orbit_spectrum(doc.matrix, doc.gmap)
@@ -210,24 +211,27 @@ def test_full_period_division_route_on_fixtures():
     assert checked >= 4
 
 
-def test_masked_division_route_per_period():
-    """The per-period variant: project to the q-mask, divide the
-    block-end coordinates by the lead variables there, and the order of
-    the divided system is q times the count at q."""
-    from orbitdex.jordan import period_mask
-    from orbitdex.resonance import lead_variable_shape_ok, project
+def _period_coords(spec, q):
+    return [c for j in period_blocks(spec, q)
+            for c in range(spec.offsets[j], spec.offsets[j + 1])]
+
+
+def test_division_route_per_period_part():
+    """The per-period variant: project to the period part of q, divide
+    the block-end coordinates by the lead variables there, and the order
+    of the divided system is q times the count at q."""
+    from orbitdex.resonance import lead_variable_shape_ok
     checked = 0
     for name, doc in load_fixtures():
         spec = doc.matrix
         sp = orbit_spectrum(spec, doc.gmap, cross_check=False)
         for q in sp.pe:
-            mask = period_mask(spec, q)
             sub_blocks = tuple(b for b in spec.blocks if q % b.order == 0)
             sub_spec = JordanSpec(sub_blocks)
             witness = find_essential_blocks(sub_spec)
             if witness is None:
                 continue
-            sub_map = project(doc.gmap, mask)
+            sub_map = project(doc.gmap, _period_coords(spec, q))
             stripped = validate_rnf(sub_spec, sub_map).stripped
             if not lead_variable_shape_ok(sub_spec, stripped):
                 continue
@@ -247,8 +251,27 @@ def test_consistency_error_for_malformed_counts():
         solve_counts_triangular(spec, {2: 2})
 
 
-def test_empty_mask_iterates_match_direct():
-    """Iterates whose mask is empty have index 1 on both routes."""
+def test_projection_once_per_period_part(monkeypatch):
+    """orbit_spectrum projects the stripped map once per distinct
+    non-empty period part it reads, for the indices and the division
+    route together."""
+    calls = []
+
+    def counted(g, keep):
+        calls.append(tuple(keep))
+        return project(g, keep)
+
+    monkeypatch.setattr(orbits, "project", counted)
+    for name, doc in load_fixtures():
+        calls.clear()
+        spec = doc.matrix
+        sp = orbit_spectrum(spec, doc.gmap)
+        parts = {tuple(_period_coords(spec, d)) for d in sp.mu} - {()}
+        assert sorted(calls) == sorted(parts), name
+
+
+def test_empty_period_part_iterates_match_direct():
+    """Iterates with no period block have index 1 on both routes."""
     doc = parse_germ(WORKED)
     for q in (1, 5, 7):
         assert fixed_point_index(doc.matrix, doc.gmap, q) == 1

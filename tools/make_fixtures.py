@@ -2,7 +2,7 @@
 
 Each fixture's counts and iterate indices below were derived by hand from
 the additive splitting of coordinate products and the triangular relation
-between masked orders and counts; the script asserts the engine agrees
+between period-part orders and counts; the script asserts the engine agrees
 before anything is written.  Run from the repo root: python tools/make_fixtures.py
 """
 
