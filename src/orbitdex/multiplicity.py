@@ -16,6 +16,21 @@ Q_d with d <= top because trunc_d o trunc_top = trunc_d; top starts at 8
 and doubles, with the echelon rebuilt, whenever d reaches it without a
 repeat.
 
+The engine also skips every row that a trivial syzygy makes redundant
+(the Koszul criterion of Faugere's F5): it never builds x^a f_i when the
+lead monomial l_j of an earlier coordinate, j < i, divides x^a.  The
+lead is the least key below, the grevlex-first term of lowest degree,
+taken from the full row.  Write x^a = x^c l_j.  From f_j f_i - f_i f_j = 0,
+c_j x^a f_i is a combination of rows x^c t f_j (t a term of f_i, j < i)
+and rows x^c s f_i (s a later term of f_j, so x^c s has a larger key
+than x^a).  Every row in that relation has order at least that of the
+skipped row, since |l_j| = o_j and every term of f_i has degree >= o_i.
+Under trunc_d a row of order >= d vanishes, and every row of order < d
+is inserted or skipped by step d.  By induction on i, then downward on
+the key of the multiplier among the finitely many of order < d,
+span trunc_d(kept rows) = span trunc_d(all rows) for every d <= top, so
+every Q_d, d* and certificate is unchanged.
+
 Under one bound top, a monomial is keyed by one int: its degree in the
 high bits, then x_n, ..., x_1 in fields of b = top.bit_length() bits.
 Every exponent of a row cut below top is < top < 2^b, so no field
@@ -44,7 +59,10 @@ residual systems:
   order is the product of the lowest degrees, and that isolation question
   is itself decided exactly (a zero-dimensional system of forms of degrees
   m_j stabilizes by degree sum(m_j - 1) + 1, so running the quotient to
-  that bound is a decision procedure).
+  that bound is a decision procedure);
+* lowest forms of one degree that are linearly dependent leave at most
+  n - 1 generators of the homogeneous system, which then has a nonzero
+  common zero, so it is not isolated and the engine does not run.
 
 All reductions are exact theorems, not heuristics; the engine result is
 identical with or without them.
@@ -59,7 +77,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclotomic import CyclotomicNumber
-from .polynomials import GermMap, Poly
+from .polynomials import GermMap, Poly, grevlex_key
 
 DEFAULT_DEGREE_CAP = 64
 
@@ -255,26 +273,34 @@ def _adopt(row: dict, col) -> dict:
 class _Run:
     """The engine's rows and echelon under one degree bound top: rows are
     cut below top and keyed by _packer once, and a shift by x^a is the
-    addition of a's key."""
+    addition of a's key.  leads[i] is the lead monomial of row i in full,
+    so its degree is the row's order."""
 
-    def __init__(self, rows, orders, nvars: int, top: int):
+    def __init__(self, rows, leads, nvars: int, top: int):
         pack, shift = _packer(nvars, top)
-        self.rows = [([(pack(m), c) for m, c in terms.items() if sum(m) < top],
-                      order) for terms, order in zip(rows, orders)]
+        self.rows = [[(pack(m), c) for m, c in terms.items() if sum(m) < top]
+                     for terms in rows]
+        self.leads = leads
         self.nvars, self.top, self.pack = nvars, top, pack
         self.echelon = _Echelon(shift)
 
     def insert_step(self, step: int) -> None:
         """Insert trunc_top(x^a f_i) for every |a| = step - 1 - o_i, so each
-        row inserted at this step has order exactly step - 1."""
+        row inserted at this step has order exactly step - 1, except when
+        the lead of an earlier f_j divides x^a (the Koszul criterion of
+        the module docstring)."""
         ech, top, shift = self.echelon, self.top, self.echelon.degree_shift
-        for terms, order in self.rows:
-            degree = step - 1 - order
+        for i, terms in enumerate(self.rows):
+            degree = step - 1 - sum(self.leads[i])
             if degree < 0:
                 continue
+            earlier = [lead for lead in self.leads[:i] if sum(lead) <= degree]
             limit = (top - degree) << shift
             kept = [(k, c) for k, c in terms if k < limit]
             for alpha in _monomials_of_degree(self.nvars, degree):
+                if any(all(e >= f for e, f in zip(alpha, lead))
+                       for lead in earlier):
+                    continue
                 a = self.pack(alpha)
                 ech.insert({k + a: c for k, c in kept})
 
@@ -283,14 +309,15 @@ def _stabilize(coords, nvars: int, cap: int,
                witness: str | None = None):
     """Run the quotient-dimension engine; return (value, d_star, dims).
 
-    Step d inserts the rows of order d - 1, cut below top (see the module
-    docstring).  When d reaches top without a repeat, top doubles up to
-    cap + 1 and the echelon is rebuilt from scratch, so Q_d is computed
-    for the same d = 1, ..., cap + 1 as without the bound."""
+    Step d inserts the rows of order d - 1 that the Koszul criterion
+    keeps, cut below top (see the module docstring).  When d reaches top
+    without a repeat, top doubles up to cap + 1 and the echelon is rebuilt
+    from scratch, so Q_d is computed for the same d = 1, ..., cap + 1 as
+    without the bound."""
     rows = _integral_rows(coords)
-    orders = [min(sum(m) for m in terms) for terms in rows]
+    leads = [min(terms, key=grevlex_key) for terms in rows]
     top = min(cap + 1, 8)
-    run = _Run(rows, orders, nvars, top)
+    run = _Run(rows, leads, nvars, top)
     dims: list[int] = []
     for d in range(1, cap + 2):
         run.insert_step(d)
@@ -300,7 +327,7 @@ def _stabilize(coords, nvars: int, cap: int,
             return dims[-1], d - 1, tuple(dims)
         if d == top and top <= cap:
             top = min(2 * top, cap + 1)
-            run = _Run(rows, orders, nvars, top)
+            run = _Run(rows, leads, nvars, top)
             for step in range(1, d + 1):
                 run.insert_step(step)
     raise NotIsolatedWithinBound(cap, witness=witness, definite=False)
@@ -309,14 +336,21 @@ def _stabilize(coords, nvars: int, cap: int,
 def _lowest_isolated(coords, nvars: int, cap: int):
     """(degrees, isolated): the lowest degrees of a square system, and the
     exact isolation decision for its lowest-degree homogeneous system,
-    True/False, or None when the decision bound exceeds the cap (then
-    nothing is concluded)."""
+    True/False, or None when the decision bound plus its repeat step
+    exceeds the cap (then nothing is concluded).  Lowest forms of one
+    degree that are linearly dependent decide False with no engine run."""
     degrees, forms = zip(*(p.lowest_form() for p in coords))
     macaulay = sum(degrees) - nvars + 2
     if macaulay > cap:
         return degrees, None
+    if len(set(degrees)) < nvars:
+        pack, shift = _packer(nvars, max(degrees) + 1)
+        echelon = _Echelon(shift)
+        if any(echelon.insert({pack(m): c for m, c in row.items()}) is None
+               for row in _integral_rows(forms)):
+            return degrees, False
     try:
-        _stabilize(forms, nvars, macaulay)
+        _stabilize(forms, nvars, macaulay - 1)
         return degrees, True
     except NotIsolatedWithinBound:
         return degrees, False

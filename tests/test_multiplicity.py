@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from orbitdex import (GermMap, NotIsolatedWithinBound, Poly, multiplicity,
                       parse_germ)
 from orbitdex.cyclotomic import root_of_unity
-from orbitdex.multiplicity import _monomials_of_degree, _packer
+from orbitdex.multiplicity import (_lowest_isolated, _monomials_of_degree,
+                                   _packer, _stabilize)
 from orbitdex.polynomials import grevlex_key, variables
 from conftest import (cronin, random_isolated_system, random_poly,
                       reference_multiplicity, truncated_quotient_dim,
@@ -347,16 +348,18 @@ def test_engine_certificate_with_non_rational_pivot_leads():
 
 
 def _recording_nvars(monkeypatch, engine) -> list[int]:
-    """Wrap the engine so that the returned list ends with the number of
-    variables of the system it is running on."""
+    """Wrap the key packer so that the returned list ends with the number
+    of variables of the echelon built last: the engine's runs and the
+    dependence check of the lowest forms each build their echelon right
+    after packing its keys."""
     layout = []
-    stabilize = engine._stabilize
+    packer = engine._packer
 
-    def recording_stabilize(coords, nvars, *args, **kwargs):
+    def recording_packer(nvars, top):
         layout.append(nvars)
-        return stabilize(coords, nvars, *args, **kwargs)
+        return packer(nvars, top)
 
-    monkeypatch.setattr(engine, "_stabilize", recording_stabilize)
+    monkeypatch.setattr(engine, "_packer", recording_packer)
     return layout
 
 
@@ -538,20 +541,52 @@ def _assert_quotients_match_the_definition(f: GermMap, result) -> None:
         assert truncated_quotient_dim(f, d) == q
 
 
+def _engine_outcome(f: GermMap, cap: int):
+    """(value, stabilized_at, quotient_dims) of the engine run on f
+    itself, with no closed-form reduction first, or None when it does not
+    stabilize by the cap."""
+    try:
+        return _stabilize(f.coords, f.nvars, cap)
+    except NotIsolatedWithinBound:
+        return None
+
+
+def _definition_outcome(f: GermMap, cap: int = 64):
+    """The same triple from truncated_quotient_dim, one Q_d at a time,
+    which builds every row trunc(x^a f_i, d) and skips none."""
+    dims = [truncated_quotient_dim(f, 1)]
+    for d in range(2, cap + 2):
+        dims.append(truncated_quotient_dim(f, d))
+        if dims[-1] == dims[-2]:
+            return dims[-1], d - 1, tuple(dims)
+    return None
+
+
+def _shares_a_lead(f: GermMap) -> bool:
+    leads = [min(p.terms, key=grevlex_key) for p in f.coords]
+    return len(set(leads)) < len(leads)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), nvars=st.integers(2, 3),
-       max_degree=st.integers(2, 5), modulus=st.sampled_from([1, 3, 4, 6]))
+       max_degree=st.integers(2, 5), modulus=st.sampled_from([1, 3, 4, 6, 12]))
 def test_engine_quotients_match_the_definition(seed, nvars, max_degree,
                                                modulus):
     """Every Q_d of a certificate is dim K[x]_{<d} modulo every row
     trunc(x^a f_i, d), built in full by truncated_quotient_dim, which
-    shares no scheduling or degree bound with the engine."""
+    shares no scheduling, degree bound or skipped row with the engine.
+    The engine run on g itself, with no reduction first, agrees too: the
+    unit combination makes coordinates share a lead, so the Koszul
+    criterion skips rows."""
     rng = random.Random(seed)
     f, value = random_isolated_system(rng, nvars, max_degree)
     g = _unit_combination(rng, f, modulus)
     result = multiplicity(g)
     assert result.value == value
     _assert_quotients_match_the_definition(g, result)
+    # Q_1 = 1 and Q_d grows until it repeats, so d* <= value: cap value
+    # bounds both runs and decides nothing short
+    assert _engine_outcome(g, value) == _definition_outcome(g, value)
 
 
 def _restarting_systems():
@@ -560,32 +595,32 @@ def _restarting_systems():
     return systems + [parse_germ(NON_RATIONAL_LEADS).gmap]
 
 
-@pytest.mark.parametrize("modulus", [1, 4])
+@pytest.mark.parametrize("modulus", [1, 3, 4, 6, 12])
 def test_engine_restart_keeps_the_definition(monkeypatch, modulus):
     """Past degree 8 the engine rebuilds its echelon with a doubled degree
     bound; the certificate is still the definition's."""
     systems = [f.embed(modulus) if f.modulus == 1 else f
                for f in _restarting_systems()]
     engine = importlib.import_module("orbitdex.multiplicity")
-    runs = {"echelons": 0, "engine": 0}
+    runs = {"runs": 0, "engine": 0}
     stabilize = engine._stabilize
 
-    class Counted(engine._Echelon):
+    class Counted(engine._Run):
         def __init__(self, *args):
             super().__init__(*args)
-            runs["echelons"] += 1
+            runs["runs"] += 1
 
     def counted_stabilize(*args, **kwargs):
         runs["engine"] += 1
         return stabilize(*args, **kwargs)
 
-    monkeypatch.setattr(engine, "_Echelon", Counted)
+    monkeypatch.setattr(engine, "_Run", Counted)
     monkeypatch.setattr(engine, "_stabilize", counted_stabilize)
     for g in systems:
-        runs.update(echelons=0, engine=0)
+        runs.update(runs=0, engine=0)
         result = multiplicity(g)
         assert result.stabilized_at >= 8
-        assert runs["echelons"] > runs["engine"]  # a rebuild ran
+        assert runs["runs"] > runs["engine"]  # a rebuild ran
         _assert_quotients_match_the_definition(g, result)
 
 
@@ -601,8 +636,9 @@ def test_engine_cap_after_a_restart():
 
 
 def test_engine_builds_only_rows_that_can_change_q_d(monkeypatch):
-    """Step d inserts exactly the rows x^a f_i of order d - 1, none with a
-    term at degree 8 or above (the first degree bound; d* < 8 here)."""
+    """Step d inserts only rows x^a f_i of order d - 1, none with a term
+    at degree 8 or above (the first degree bound; d* < 8 here), and of
+    those exactly the ones whose x^a no earlier lead divides."""
     engine = importlib.import_module("orbitdex.multiplicity")
     steps, layout = [], _recording_nvars(monkeypatch, engine)
 
@@ -631,11 +667,125 @@ def test_engine_builds_only_rows_that_can_change_q_d(monkeypatch):
                 assert min(map(sum, row)) == d - 1
                 assert max(map(sum, row)) < 8
     # the last run is the engine on f itself: every x^a f_i of order at
-    # most d* is built once, and no other
+    # most d* is built once, and no other, less those where x^a is a
+    # multiple of the lead of an earlier f_j (the Koszul criterion)
     n, orders = f.nvars, [p.lowest_form()[0] for p in f.coords]
+    leads = [sorted(p.terms, key=grevlex_key)[0] for p in f.coords]
     built = sum(math.comb(d - 1 - o + n - 1, n - 1)
                 for o in orders for d in range(o + 1, result.stabilized_at + 2))
-    assert sum(len(rows) for _, rows in steps[-1]) == built
+    skipped = 0
+    for i, o in enumerate(orders):
+        for d in range(o + 1, result.stabilized_at + 2):
+            multiples = {tuple(map(sum, zip(lead, b)))
+                         for lead in leads[:i]
+                         for b in itertools.product(range(d), repeat=n)
+                         if sum(b) == d - 1 - o - sum(lead)}
+            skipped += len(multiples)
+    assert skipped > 0
+    assert sum(len(rows) for _, rows in steps[-1]) == built - skipped
+
+
+@pytest.mark.parametrize("modulus", [1, 3, 4, 6, 12])
+def test_engine_with_shared_leads_keeps_the_definition(modulus):
+    """Systems whose coordinates share a lead, in 2 and 3 variables, and
+    one with a curve of zeros (x = y), over Q and Q(zeta_M): the engine's
+    outcome on each is the definition's.  The caps are the definition's
+    values, so a wrong skip fails fast instead of running to the cap."""
+    x, y = variables(2)
+    x1, x2, x3 = variables(3)
+    rng = random.Random(modulus)
+    combined = [_unit_combination(rng, f, modulus) for f in (
+        system(x**2 + x * y**2, y**3 + x**3 * y),
+        system(x1**2 + x2**3, x2**2 + x1 * x3**2, x3**2 + x1**3))]
+    shared = [f.embed(modulus) for f in _engine_systems() if _shares_a_lead(f)]
+    curve = system((x - y) * (x + y), (x - y) * (x + 2 * y))
+    assert all(map(_shares_a_lead, shared + combined + [curve]))
+    for g in shared + combined:
+        want = _definition_outcome(g)
+        assert _engine_outcome(g, want[0]) == want
+    assert _engine_outcome(curve.embed(modulus), 12) is None
+    assert _definition_outcome(curve.embed(modulus), 12) is None
+
+
+def _spied_stabilize(monkeypatch):
+    """Wrap the engine so that the returned list gets (cap, outcome) per
+    run, the outcome None when it does not stabilize."""
+    engine = importlib.import_module("orbitdex.multiplicity")
+    calls, stabilize = [], engine._stabilize
+
+    def spied(coords, nvars, cap, *args, **kwargs):
+        try:
+            out = stabilize(coords, nvars, cap, *args, **kwargs)
+        except NotIsolatedWithinBound:
+            calls.append((cap, None))
+            raise
+        calls.append((cap, out))
+        return out
+
+    monkeypatch.setattr(engine, "_stabilize", spied)
+    return calls
+
+
+def _random_form(rng, nvars: int, degree: int, modulus: int) -> Poly:
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        cut = sorted(rng.randint(0, degree) for _ in range(nvars - 1))
+        mono = tuple(b - a for a, b in zip([0] + cut, cut + [degree]))
+        c = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
+        terms[mono] = c if modulus == 1 else \
+            root_of_unity(modulus, rng.randrange(modulus), modulus) * c
+    return Poly(nvars, modulus, terms)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), nvars=st.integers(2, 3),
+       modulus=st.sampled_from([1, 1, 3, 4]))
+def test_lowest_forms_run_the_engine_to_the_stated_bound(seed, nvars, modulus):
+    """The isolation decision of forms of degrees m_j runs the engine with
+    cap sum(m_j) - n + 1, and an isolated system stabilizes exactly there,
+    so no smaller cap decides it."""
+    rng = random.Random(seed)
+    forms = [_random_form(rng, nvars, rng.randint(1, 4), modulus)
+             for _ in range(nvars)]
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = _spied_stabilize(monkeypatch)
+        degrees, isolated = _lowest_isolated(forms, nvars, 64)
+    bound = sum(degrees) - nvars + 1
+    assert all(cap == bound for cap, _ in calls)
+    if isolated:
+        (_, (_, d_star, _)), = calls
+        assert d_star == bound
+
+
+def test_dependent_lowest_forms_decide_without_the_engine(monkeypatch):
+    """Linearly dependent lowest forms of one degree are not isolated,
+    with no engine run; independent forms of one degree still run it; a
+    decision bound past the cap still concludes nothing."""
+    calls = _spied_stabilize(monkeypatch)
+    x, y = variables(2)
+    x1, x2, x3 = variables(3)
+    q = x1**2 - x2 * x3
+    z = root_of_unity(3, 1, 3)
+    over_zeta_3 = system(x1 + x2 + x1**2, x1 + x2 - x3**2,
+                         x3 + x1 * x2).embed(3).coords
+    dependent = [
+        (x**2 + y**3, 2 * x**2 + x**4),
+        (q + x3**3, x2**2, q + 3 * x2**2 + x1**5),
+        (over_zeta_3[0] * z, over_zeta_3[1] * z**2, over_zeta_3[2]),
+    ]
+    for coords in dependent:
+        nvars = coords[0].nvars
+        assert _lowest_isolated(coords, nvars, 64)[1] is False
+    assert calls == []
+    # one degree, independent: isolated, and a curve of zeros x = y
+    assert _lowest_isolated((x**2, y**2), 2, 64) == ((2, 2), True)
+    assert _lowest_isolated((x**2 - x * y, y**2 - x * y), 2, 64) == \
+        ((2, 2), False)
+    assert [cap for cap, _ in calls] == [3, 3]
+    # sum(m_j) - n + 2 = 4 > 3: undecided, whether dependent or not
+    assert _lowest_isolated((x**2, 2 * x**2), 2, 3) == ((2, 2), None)
+    assert _lowest_isolated((x**2, y**2), 2, 3) == ((2, 2), None)
+    assert len(calls) == 2
 
 
 def _reducible_system(rng, nvars: int, modulus: int) -> GermMap:
