@@ -16,9 +16,19 @@ Q_d with d <= top because trunc_d o trunc_top = trunc_d; top starts at 8
 and doubles, with the echelon rebuilt, whenever d reaches it without a
 repeat.
 
+Before any lead is taken, the engine recombines its generators: the full
+rows f_1, ..., f_n go through one echelon, and its pivot rows, each led
+by its own pivot column, replace them.  They are an invertible constant
+recombination of the f_i, so they generate the same ideal I, and Q_d =
+dim K[x]/(I + m^d) depends only on I: every Q_d, d* and certificate is
+unchanged, and no two generators share a lead.  A row that reduces to
+zero leaves I with at most n - 1 generators, so its zero set is
+positive-dimensional (Krull) and Q_d never repeats; the engine reports
+the cap at once, as it would on reaching it.
+
 The engine also skips every row that a trivial syzygy makes redundant
 (the Koszul criterion of Faugere's F5): it never builds x^a f_i when the
-lead monomial l_j of an earlier coordinate, j < i, divides x^a.  The
+lead monomial l_j of an earlier generator, j < i, divides x^a.  The
 lead is the least key below, the grevlex-first term of lowest degree,
 taken from the full row.  Write x^a = x^c l_j.  From f_j f_i - f_i f_j = 0,
 c_j x^a f_i is a combination of rows x^c t f_j (t a term of f_i, j < i)
@@ -29,7 +39,8 @@ Under trunc_d a row of order >= d vanishes, and every row of order < d
 is inserted or skipped by step d.  By induction on i, then downward on
 the key of the multiplier among the finitely many of order < d,
 span trunc_d(kept rows) = span trunc_d(all rows) for every d <= top, so
-every Q_d, d* and certificate is unchanged.
+every Q_d, d* and certificate is unchanged; the argument holds for any
+generating list, the recombined one included.
 
 Under one bound top, a monomial is keyed by one int: its degree in the
 high bits, then x_n, ..., x_1 in fields of b = top.bit_length() bits.
@@ -62,7 +73,8 @@ residual systems:
   that bound is a decision procedure);
 * lowest forms of one degree that are linearly dependent leave at most
   n - 1 generators of the homogeneous system, which then has a nonzero
-  common zero, so it is not isolated and the engine does not run.
+  common zero, so it is not isolated; the engine's recombination finds
+  the dependence before it builds a row.
 
 All reductions are exact theorems, not heuristics; the engine result is
 identical with or without them.
@@ -77,7 +89,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclotomic import CyclotomicNumber
-from .polynomials import GermMap, Poly, grevlex_key
+from .polynomials import GermMap, Poly
 
 DEFAULT_DEGREE_CAP = 64
 
@@ -273,8 +285,8 @@ def _adopt(row: dict, col) -> dict:
 class _Run:
     """The engine's rows and echelon under one degree bound top: rows are
     cut below top and keyed by _packer once, and a shift by x^a is the
-    addition of a's key.  leads[i] is the lead monomial of row i in full,
-    so its degree is the row's order."""
+    addition of a's key.  leads[i] = (o_i, l_i): the lead monomial l_i of
+    row i in full and its degree, which is the row's order."""
 
     def __init__(self, rows, leads, nvars: int, top: int):
         pack, shift = _packer(nvars, top)
@@ -291,10 +303,11 @@ class _Run:
         the module docstring)."""
         ech, top, shift = self.echelon, self.top, self.echelon.degree_shift
         for i, terms in enumerate(self.rows):
-            degree = step - 1 - sum(self.leads[i])
+            degree = step - 1 - self.leads[i][0]
             if degree < 0:
                 continue
-            earlier = [lead for lead in self.leads[:i] if sum(lead) <= degree]
+            earlier = [lead for order, lead in self.leads[:i]
+                       if order <= degree]
             limit = (top - degree) << shift
             kept = [(k, c) for k, c in terms if k < limit]
             for alpha in _monomials_of_degree(self.nvars, degree):
@@ -305,17 +318,39 @@ class _Run:
                 ech.insert({k + a: c for k, c in kept})
 
 
+def _recombined(rows, nvars: int, cap: int, witness: str | None):
+    """(rows, leads): the pivot rows of one echelon of the full rows, in
+    input order, and their (order, lead monomial) pairs; or
+    NotIsolatedWithinBound when a row reduces to zero (see the module
+    docstring).  Every key of a pivot row is a key of an input row, so a
+    table of those decodes them."""
+    degree = max((sum(m) for terms in rows for m in terms), default=0)
+    pack, shift = _packer(nvars, degree + 1)
+    basis, monomial = _Echelon(shift), {}
+    for terms in rows:
+        packed = {}
+        for m, c in terms.items():
+            key = pack(m)
+            monomial[key] = m
+            packed[key] = c
+        if basis.insert(packed) is None:
+            raise NotIsolatedWithinBound(cap, witness=witness, definite=False)
+    return ([{monomial[k]: c for k, c in row.items()}
+             for row in basis.pivots.values()],
+            [(col >> shift, monomial[col]) for col in basis.pivots])
+
+
 def _stabilize(coords, nvars: int, cap: int,
                witness: str | None = None):
     """Run the quotient-dimension engine; return (value, d_star, dims).
 
+    The generators are recombined first, so that no two share a lead.
     Step d inserts the rows of order d - 1 that the Koszul criterion
     keeps, cut below top (see the module docstring).  When d reaches top
     without a repeat, top doubles up to cap + 1 and the echelon is rebuilt
     from scratch, so Q_d is computed for the same d = 1, ..., cap + 1 as
     without the bound."""
-    rows = _integral_rows(coords)
-    leads = [min(terms, key=grevlex_key) for terms in rows]
+    rows, leads = _recombined(_integral_rows(coords), nvars, cap, witness)
     top = min(cap + 1, 8)
     run = _Run(rows, leads, nvars, top)
     dims: list[int] = []
@@ -337,18 +372,13 @@ def _lowest_isolated(coords, nvars: int, cap: int):
     """(degrees, isolated): the lowest degrees of a square system, and the
     exact isolation decision for its lowest-degree homogeneous system,
     True/False, or None when the decision bound plus its repeat step
-    exceeds the cap (then nothing is concluded).  Lowest forms of one
-    degree that are linearly dependent decide False with no engine run."""
+    exceeds the cap (then nothing is concluded).  Lowest forms that are
+    linearly dependent decide False when the engine recombines them,
+    before it builds a row."""
     degrees, forms = zip(*(p.lowest_form() for p in coords))
     macaulay = sum(degrees) - nvars + 2
     if macaulay > cap:
         return degrees, None
-    if len(set(degrees)) < nvars:
-        pack, shift = _packer(nvars, max(degrees) + 1)
-        echelon = _Echelon(shift)
-        if any(echelon.insert({pack(m): c for m, c in row.items()}) is None
-               for row in _integral_rows(forms)):
-            return degrees, False
     try:
         _stabilize(forms, nvars, macaulay - 1)
         return degrees, True

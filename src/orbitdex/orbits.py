@@ -60,6 +60,8 @@ def direct_iterate_index(f: GermMap, q: int, degree_cap: int = DEFAULT_DEGREE_CA
     The composition is truncated at a degree D and retried with doubled D
     until the computed order is < D; a germ whose low jet matches f^q - id
     up to its own order has the same order, so the result is exact.  A
+    "not isolated" verdict, even a definite one, is one on the truncation,
+    whose coordinates may have lost every term, so it too doubles D.  A
     product of more than DIRECT_CHECK_TERM_LIMIT terms raises
     TermBudgetExceeded, whose message is the reason callers report.  The
     multiplicity computed after the composition has no such budget, but
@@ -78,9 +80,7 @@ def direct_iterate_index(f: GermMap, q: int, degree_cap: int = DEFAULT_DEGREE_CA
                                      f"{DIRECT_CHECK_TERM_LIMIT} terms") from exc
         try:
             value = multiplicity(g.minus_identity(), degree_cap=trunc).value
-        except NotIsolatedWithinBound as exc:
-            if exc.definite:
-                raise
+        except NotIsolatedWithinBound:
             trunc *= 2
             continue
         if value < trunc:

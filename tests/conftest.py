@@ -77,12 +77,18 @@ def random_poly(rng, nvars, max_degree, max_terms=4, modulus=1,
     return Poly(nvars, modulus, terms)
 
 
+ISOLATED_DRAWS = 10
+
+
 def random_isolated_system(rng, nvars, max_degree=4):
     """A random germ map with an isolated zero at the origin: dominant
-    pure powers per coordinate plus random higher noise."""
+    pure powers per coordinate plus random higher noise.  A draw whose
+    zero multiplicity does not certify is drawn again, at most
+    ISOLATED_DRAWS times in all, so that an engine that certifies
+    nothing fails the test instead of hanging it."""
     from orbitdex import NotIsolatedWithinBound, multiplicity
 
-    while True:
+    for _ in range(ISOLATED_DRAWS):
         coords = []
         for j in range(nvars):
             power = rng.randint(1, max_degree)
@@ -99,6 +105,9 @@ def random_isolated_system(rng, nvars, max_degree=4):
             continue
         if value > 0:
             return f, value
+    raise AssertionError(
+        f"no isolated system in {ISOLATED_DRAWS} draws of {nvars} "
+        f"coordinates of degree <= {max_degree}")
 
 
 def cronin(f: GermMap, degree_cap: int = DEFAULT_DEGREE_CAP) -> int | None:

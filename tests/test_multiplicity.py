@@ -8,18 +8,18 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orbitdex import (GermMap, NotIsolatedWithinBound, Poly, multiplicity,
                       parse_germ)
 from orbitdex.cyclotomic import root_of_unity
-from orbitdex.multiplicity import (_lowest_isolated, _monomials_of_degree,
-                                   _packer, _stabilize)
+from orbitdex.multiplicity import (_integral_rows, _lowest_isolated,
+                                   _monomials_of_degree, _packer, _stabilize)
 from orbitdex.polynomials import grevlex_key, variables
-from conftest import (cronin, random_isolated_system, random_poly,
-                      reference_multiplicity, truncated_quotient_dim,
-                      unpack_key)
+from conftest import (ReferenceEchelon, cronin, random_isolated_system,
+                      random_poly, reference_multiplicity,
+                      truncated_quotient_dim, unpack_key)
 
 
 def system(*coords):
@@ -349,9 +349,9 @@ def test_engine_certificate_with_non_rational_pivot_leads():
 
 def _recording_nvars(monkeypatch, engine) -> list[int]:
     """Wrap the key packer so that the returned list ends with the number
-    of variables of the echelon built last: the engine's runs and the
-    dependence check of the lowest forms each build their echelon right
-    after packing its keys."""
+    of variables of the echelon built last: the engine's recombination of
+    its generators and each of its runs build their echelon right after
+    packing its keys."""
     layout = []
     packer = engine._packer
 
@@ -602,25 +602,25 @@ def test_engine_restart_keeps_the_definition(monkeypatch, modulus):
     systems = [f.embed(modulus) if f.modulus == 1 else f
                for f in _restarting_systems()]
     engine = importlib.import_module("orbitdex.multiplicity")
-    runs = {"runs": 0, "engine": 0}
+    runs = []  # runs built per engine call
     stabilize = engine._stabilize
 
     class Counted(engine._Run):
         def __init__(self, *args):
             super().__init__(*args)
-            runs["runs"] += 1
+            runs[-1] += 1
 
     def counted_stabilize(*args, **kwargs):
-        runs["engine"] += 1
+        runs.append(0)
         return stabilize(*args, **kwargs)
 
     monkeypatch.setattr(engine, "_Run", Counted)
     monkeypatch.setattr(engine, "_stabilize", counted_stabilize)
     for g in systems:
-        runs.update(runs=0, engine=0)
+        runs.clear()
         result = multiplicity(g)
         assert result.stabilized_at >= 8
-        assert runs["runs"] > runs["engine"]  # a rebuild ran
+        assert max(runs) >= 2  # a rebuild ran
         _assert_quotients_match_the_definition(g, result)
 
 
@@ -635,10 +635,23 @@ def test_engine_cap_after_a_restart():
     assert not err.value.definite
 
 
+def _recombined_leads(f: GermMap) -> list[tuple[int, ...]]:
+    """The leads of the generators the engine runs on: the pivot columns
+    of f's full rows, in input order, from conftest's reference echelon,
+    which is keyed by exponent tuples and shares no key layout with the
+    engine."""
+    reference = ReferenceEchelon()
+    for row in _integral_rows(f.coords):
+        assert reference.insert(row) is not None
+    return list(reference.pivots)
+
+
 def test_engine_builds_only_rows_that_can_change_q_d(monkeypatch):
     """Step d inserts only rows x^a f_i of order d - 1, none with a term
     at degree 8 or above (the first degree bound; d* < 8 here), and of
-    those exactly the ones whose x^a no earlier lead divides."""
+    those exactly the ones whose x^a no earlier lead divides, the f_i
+    being the recombined generators.  The second system's coordinates
+    share their lead x^2, which the recombination removes."""
     engine = importlib.import_module("orbitdex.multiplicity")
     steps, layout = [], _recording_nvars(monkeypatch, engine)
 
@@ -658,31 +671,35 @@ def test_engine_builds_only_rows_that_can_change_q_d(monkeypatch):
             return super().pivots_below(degree)
 
     monkeypatch.setattr(engine, "_Echelon", Recorded)
-    f = _engine_systems()[0]
-    result = multiplicity(f)
-    assert result.stabilized_at < 8
-    for run in steps:
-        for d, rows in run:
-            for row in rows:
-                assert min(map(sum, row)) == d - 1
-                assert max(map(sum, row)) < 8
-    # the last run is the engine on f itself: every x^a f_i of order at
-    # most d* is built once, and no other, less those where x^a is a
-    # multiple of the lead of an earlier f_j (the Koszul criterion)
-    n, orders = f.nvars, [p.lowest_form()[0] for p in f.coords]
-    leads = [sorted(p.terms, key=grevlex_key)[0] for p in f.coords]
-    built = sum(math.comb(d - 1 - o + n - 1, n - 1)
-                for o in orders for d in range(o + 1, result.stabilized_at + 2))
-    skipped = 0
-    for i, o in enumerate(orders):
-        for d in range(o + 1, result.stabilized_at + 2):
-            multiples = {tuple(map(sum, zip(lead, b)))
-                         for lead in leads[:i]
-                         for b in itertools.product(range(d), repeat=n)
-                         if sum(b) == d - 1 - o - sum(lead)}
-            skipped += len(multiples)
-    assert skipped > 0
-    assert sum(len(rows) for _, rows in steps[-1]) == built - skipped
+    skipped_in_all = 0
+    for f in (_engine_systems()[0], _engine_systems()[6]):
+        steps.clear()
+        result = multiplicity(f)
+        assert result.stabilized_at < 8
+        for run in steps:
+            for d, rows in run:
+                for row in rows:
+                    assert min(map(sum, row)) == d - 1
+                    assert max(map(sum, row)) < 8
+        # the last run is the engine on f itself: every x^a f_i of order
+        # at most d* is built once, and no other, less those where x^a is
+        # a multiple of the lead of an earlier f_j (the Koszul criterion)
+        n, leads = f.nvars, _recombined_leads(f)
+        assert len(set(leads)) == n
+        orders = [sum(lead) for lead in leads]
+        built = sum(math.comb(d - 1 - o + n - 1, n - 1) for o in orders
+                    for d in range(o + 1, result.stabilized_at + 2))
+        skipped = 0
+        for i, o in enumerate(orders):
+            for d in range(o + 1, result.stabilized_at + 2):
+                multiples = {tuple(map(sum, zip(lead, b)))
+                             for lead in leads[:i]
+                             for b in itertools.product(range(d), repeat=n)
+                             if sum(b) == d - 1 - o - sum(lead)}
+                skipped += len(multiples)
+        skipped_in_all += skipped
+        assert sum(len(rows) for _, rows in steps[-1]) == built - skipped
+    assert skipped_in_all > 0
 
 
 @pytest.mark.parametrize("modulus", [1, 3, 4, 6, 12])
@@ -757,11 +774,27 @@ def test_lowest_forms_run_the_engine_to_the_stated_bound(seed, nvars, modulus):
         assert d_star == bound
 
 
+def _spied_runs(monkeypatch) -> list[int]:
+    """Wrap the engine's run so that the returned list gets the degree
+    bound of every run built, that is, of every echelon of shifted rows."""
+    engine = importlib.import_module("orbitdex.multiplicity")
+    runs = []
+
+    class Spied(engine._Run):
+        def __init__(self, rows, leads, nvars, top):
+            super().__init__(rows, leads, nvars, top)
+            runs.append(top)
+
+    monkeypatch.setattr(engine, "_Run", Spied)
+    return runs
+
+
 def test_dependent_lowest_forms_decide_without_the_engine(monkeypatch):
     """Linearly dependent lowest forms of one degree are not isolated,
-    with no engine run; independent forms of one degree still run it; a
-    decision bound past the cap still concludes nothing."""
-    calls = _spied_stabilize(monkeypatch)
+    with no engine row built: the engine's recombination refuses them at
+    once.  Independent forms of one degree still run it; a decision bound
+    past the cap still concludes nothing."""
+    calls, runs = _spied_stabilize(monkeypatch), _spied_runs(monkeypatch)
     x, y = variables(2)
     x1, x2, x3 = variables(3)
     q = x1**2 - x2 * x3
@@ -776,16 +809,101 @@ def test_dependent_lowest_forms_decide_without_the_engine(monkeypatch):
     for coords in dependent:
         nvars = coords[0].nvars
         assert _lowest_isolated(coords, nvars, 64)[1] is False
-    assert calls == []
+    assert [outcome for _, outcome in calls] == [None] * len(dependent)
+    assert runs == []
     # one degree, independent: isolated, and a curve of zeros x = y
     assert _lowest_isolated((x**2, y**2), 2, 64) == ((2, 2), True)
     assert _lowest_isolated((x**2 - x * y, y**2 - x * y), 2, 64) == \
         ((2, 2), False)
-    assert [cap for cap, _ in calls] == [3, 3]
+    assert [cap for cap, _ in calls[len(dependent):]] == [3, 3]
+    assert runs == [4, 4]
     # sum(m_j) - n + 2 = 4 > 3: undecided, whether dependent or not
     assert _lowest_isolated((x**2, 2 * x**2), 2, 3) == ((2, 2), None)
     assert _lowest_isolated((x**2, y**2), 2, 3) == ((2, 2), None)
-    assert len(calls) == 2
+    assert len(calls) == len(dependent) + 2 and len(runs) == 2
+
+
+def _shared_power_system(rng, nvars: int, modulus: int) -> GermMap:
+    """B * (x_j^a_j + x_j^(a_j + 1) + h_j) for a unit combination B,
+    exponents a_j >= 2 with a unique least a_1 and each h_j of order
+    > a_j + 1: the order is prod(a_j), no exponent gcd divides out, no
+    variable occurs linearly, and every lowest form is a multiple of
+    x_1^a_1, so the Cronin product does not apply and the engine runs on
+    the input."""
+    least = rng.randint(2, 3)
+    a = [least] + [rng.randint(least + 1, least + 4 - nvars)
+                   for _ in range(nvars - 1)]
+    coords = []
+    for j, e in enumerate(a):
+        x = Poly.variable(j, nvars, modulus)
+        coords.append(x**e + x**(e + 1) + random_poly(
+            rng, nvars, e + 3, max_terms=2, modulus=modulus,
+            min_degree=e + 2))
+    return _unit_combination(rng, GermMap(coords), modulus)
+
+
+def _engine_shape(f: GermMap) -> tuple:
+    """What decides the closed-form reductions that differ between
+    constant recombinations of such a system: the orders of the
+    coordinates, and which coordinates have monomial content."""
+    return (tuple(p.lowest_form()[0] for p in f.coords),
+            tuple(any(p.monomial_content()) for p in f.coords))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), nvars=st.integers(2, 3),
+       modulus=st.sampled_from([1, 3, 4, 12]))
+def test_constant_recombination_keeps_the_certificate(seed, nvars, modulus):
+    """F and A * F, for an invertible constant matrix A over K, generate
+    one ideal, so the engine's certificate is the same.  With the same
+    coordinate orders and no monomial content, the closed-form
+    reductions take the same path on both (the monomials of all
+    coordinates together are the same, as A is invertible), and the
+    engine runs on the input itself."""
+    rng = random.Random(seed)
+    f = _shared_power_system(rng, nvars, modulus)
+    scaled = GermMap([p * (root_of_unity(modulus, rng.randrange(modulus),
+                                         modulus) * rng.choice([1, -2, 3]))
+                      for p in f.coords])
+    g = _unit_combination(rng, scaled, modulus)
+    assume(_engine_shape(f) == _engine_shape(g))
+    assume(not any(_engine_shape(f)[1]))
+    want = multiplicity(f)
+    assert want.stabilized_at is not None
+    got = multiplicity(g)
+    assert (got.value, got.fast_path, got.stabilized_at, got.quotient_dims) \
+        == (want.value, want.fast_path, want.stabilized_at,
+            want.quotient_dims)
+
+
+def test_dependent_generators_refuse_without_an_engine_run(monkeypatch):
+    """Generators that are linearly dependent over K leave at most n - 1
+    generators, so the zero is not isolated: the engine raises what it
+    raised on reaching the cap, ambiguous and with the same message, but
+    builds no run.  Over Q and Q(zeta_3), through every closed-form
+    reduction (none applies) and on the engine alone."""
+    runs = _spied_runs(monkeypatch)
+    x1, x2, x3 = variables(3)
+    g1 = x1**2 - x1 * x2 + x3**3
+    g2 = x2**2 - x2 * x3 + x1**3
+    for modulus in (1, 3):
+        z = root_of_unity(modulus, 1, modulus)
+        f = system(g1, g2, g1 * 2 - g2).embed(modulus)
+        f = GermMap([f.coords[0], f.coords[1] * z, f.coords[2] * z])
+        with pytest.raises(NotIsolatedWithinBound) as err:
+            multiplicity(f)
+        assert str(err.value) == (
+            "not isolated within degree 64: the lowest-degree homogeneous "
+            "system has a positive-dimensional zero set (evidence of a "
+            "non-isolated zero, not a proof)")
+        assert not err.value.definite
+        with pytest.raises(NotIsolatedWithinBound) as err:
+            _stabilize(f.coords, 3, 5)
+        assert str(err.value) == (
+            "not isolated within degree 5: no stabilization by the degree "
+            "cap; the zero may not be isolated, or the cap may be too small")
+        assert not err.value.definite
+    assert runs == []
 
 
 def _reducible_system(rng, nvars: int, modulus: int) -> GermMap:

@@ -47,6 +47,37 @@ def test_fixed_point_index_examples():
     assert direct_iterate_index(doc.gmap, 6) == 12
 
 
+# Germs where a coordinate of f^q - id has every term at degree 8 or
+# above, so it vanishes in the direct route's first truncation: the
+# first for q = 2, the second (what `realize "[(1,3,1);(3,1,1)]" --seq
+# "1:19,3:1"` writes) for q = 1.
+TRUNCATED_AWAY = [
+    ("matrix { block { size = 1, order = 2, power = 1 } }\n"
+     "map { f1 = L1*x1 + x1^9; }", 2, 9),
+    ("""matrix {
+  block { size = 1, order = 3, power = 1 }
+  block { size = 3, order = 1, power = 1 }
+}
+map {
+  f1 = L1*x1 + x1*x2;
+  f2 = L2*x2 + x3;
+  f3 = L2*x3 + x4;
+  f4 = L2*x4 + x1^3 + x2^19;
+}""", 1, 19),
+]
+
+
+@pytest.mark.parametrize("text, q, index", TRUNCATED_AWAY,
+                         ids=["flip", "realized"])
+def test_direct_route_looks_past_its_truncation(text, q, index):
+    """A coordinate that vanishes only in the truncation of f^q - id is
+    no proof of a non-isolated zero: the direct route doubles the
+    truncation and agrees with the projection route."""
+    doc = parse_germ(text)
+    assert fixed_point_index(doc.matrix, doc.gmap, q) == index
+    assert direct_iterate_index(doc.gmap, q) == index
+
+
 def test_projection_route_requires_normal_form():
     spec = JordanSpec((B(1, 2, 1),))
     x, = variables(1, modulus=2)
