@@ -42,13 +42,16 @@ span trunc_d(kept rows) = span trunc_d(all rows) for every d <= top, so
 every Q_d, d* and certificate is unchanged; the argument holds for any
 generating list, the recombined one included.
 
-Under one bound top, a monomial is keyed by one int: its degree in the
-high bits, then x_n, ..., x_1 in fields of b = top.bit_length() bits.
-Every exponent of a row cut below top is < top < 2^b, so no field
-overflows, and grevlex restricted to degree < top is then plain integer
-order; a shift by x^a is the addition of a's key, and the degree is a
-right shift.  The keys are rebuilt when top doubles, since b changes.
-The arithmetic and the pivot order are those of exponent-tuple keys.
+One engine call keys every monomial by one int, under one width
+w = max(cap, highest input degree) + 1: its degree in the high bits,
+then x_n, ..., x_1 in fields of b = w.bit_length() bits.  The full rows
+that the recombination reads have degree < w, and every shifted row is
+cut below a top of at most cap + 1 <= w, so every exponent is < w < 2^b:
+no field overflows, and grevlex restricted to degree < w is plain
+integer order; a shift by x^a is the addition of a's key, and the
+degree is a right shift.  The rows are keyed once, as they enter the
+engine, and every run, restarts included, cuts those same keys.  The
+arithmetic and the pivot order are those of exponent-tuple keys.
 
 Exact closed-form reductions run first and hand the engine only small
 residual systems:
@@ -83,6 +86,7 @@ identical with or without them.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -225,19 +229,21 @@ class _Echelon:
 def _packer(nvars: int, top: int):
     """(pack, degree_shift): pack maps an exponent tuple of degree < top
     to the int |m| << (n*b) | m_n << ((n-1)*b) | ... | m_1 with
-    b = top.bit_length().  Every exponent is below top < 2^b, so no field
-    overflows: integer order is grevlex order (degree first, then the
-    reversed exponents lexicographically), pack(m + a) = pack(m) + pack(a)
-    whenever |m + a| < top, and the degree is key >> (n*b)."""
+    b = top.bit_length(), built from the nonzero exponents only.  Every
+    exponent is below top < 2^b, so no field overflows: integer order is
+    grevlex order (degree first, then the reversed exponents
+    lexicographically), pack(m + a) = pack(m) + pack(a) whenever
+    |m + a| < top, and the degree is key >> (n*b)."""
     bits = top.bit_length()
+    shift = nvars * bits
 
     def pack(mono) -> int:
-        key = sum(mono)
-        for e in reversed(mono):
-            key = key << bits | e
+        key = sum(mono) << shift
+        for i in itertools.compress(range(nvars), mono):
+            key |= mono[i] << i * bits
         return key
 
-    return pack, nvars * bits
+    return pack, shift
 
 
 def _integral_rows(coords) -> list[dict]:
@@ -283,49 +289,20 @@ def _adopt(row: dict, col) -> dict:
 
 
 class _Run:
-    """The engine's rows and echelon under one degree bound top: rows are
-    cut below top and keyed by _packer once, and a shift by x^a is the
-    addition of a's key.  leads[i] = (o_i, l_i): the lead monomial l_i of
-    row i in full and its degree, which is the row's order."""
+    """One echelon of the engine's shifted rows, each cut below the
+    degree bound top."""
 
-    def __init__(self, rows, leads, nvars: int, top: int):
-        pack, shift = _packer(nvars, top)
-        self.rows = [[(pack(m), c) for m, c in terms.items() if sum(m) < top]
-                     for terms in rows]
-        self.leads = leads
-        self.nvars, self.top, self.pack = nvars, top, pack
+    def __init__(self, top: int, shift: int):
+        self.top = top
         self.echelon = _Echelon(shift)
 
-    def insert_step(self, step: int) -> None:
-        """Insert trunc_top(x^a f_i) for every |a| = step - 1 - o_i, so each
-        row inserted at this step has order exactly step - 1, except when
-        the lead of an earlier f_j divides x^a (the Koszul criterion of
-        the module docstring)."""
-        ech, top, shift = self.echelon, self.top, self.echelon.degree_shift
-        for i, terms in enumerate(self.rows):
-            degree = step - 1 - self.leads[i][0]
-            if degree < 0:
-                continue
-            earlier = [lead for order, lead in self.leads[:i]
-                       if order <= degree]
-            limit = (top - degree) << shift
-            kept = [(k, c) for k, c in terms if k < limit]
-            for alpha in _monomials_of_degree(self.nvars, degree):
-                if any(all(e >= f for e, f in zip(alpha, lead))
-                       for lead in earlier):
-                    continue
-                a = self.pack(alpha)
-                ech.insert({k + a: c for k, c in kept})
 
-
-def _recombined(rows, nvars: int, cap: int, witness: str | None):
-    """(rows, leads): the pivot rows of one echelon of the full rows, in
-    input order, and their (order, lead monomial) pairs; or
-    NotIsolatedWithinBound when a row reduces to zero (see the module
-    docstring).  Every key of a pivot row is a key of an input row, so a
-    table of those decodes them."""
-    degree = max((sum(m) for terms in rows for m in terms), default=0)
-    pack, shift = _packer(nvars, degree + 1)
+def _recombined(rows, pack, shift: int, cap: int, witness: str | None):
+    """(rows, leads): the pivot rows of one echelon of the full rows,
+    keyed by pack, in input order, and their (order, lead monomial)
+    pairs; or NotIsolatedWithinBound when a row reduces to zero (see the
+    module docstring).  Every pivot column is a key of an input row, so a
+    table of those gives the lead monomials."""
     basis, monomial = _Echelon(shift), {}
     for terms in rows:
         packed = {}
@@ -335,8 +312,7 @@ def _recombined(rows, nvars: int, cap: int, witness: str | None):
             packed[key] = c
         if basis.insert(packed) is None:
             raise NotIsolatedWithinBound(cap, witness=witness, definite=False)
-    return ([{monomial[k]: c for k, c in row.items()}
-             for row in basis.pivots.values()],
+    return (list(basis.pivots.values()),
             [(col >> shift, monomial[col]) for col in basis.pivots])
 
 
@@ -344,27 +320,50 @@ def _stabilize(coords, nvars: int, cap: int,
                witness: str | None = None):
     """Run the quotient-dimension engine; return (value, d_star, dims).
 
-    The generators are recombined first, so that no two share a lead.
-    Step d inserts the rows of order d - 1 that the Koszul criterion
-    keeps, cut below top (see the module docstring).  When d reaches top
-    without a repeat, top doubles up to cap + 1 and the echelon is rebuilt
-    from scratch, so Q_d is computed for the same d = 1, ..., cap + 1 as
-    without the bound."""
-    rows, leads = _recombined(_integral_rows(coords), nvars, cap, witness)
-    top = min(cap + 1, 8)
-    run = _Run(rows, leads, nvars, top)
+    The rows are keyed once, under a width that covers both the full
+    rows and every degree below cap + 1, and the generators are
+    recombined first, so that no two share a lead.  Step d inserts the
+    rows of order d - 1 that the Koszul criterion keeps, cut below top
+    (see the module docstring).  When d reaches top without a repeat,
+    top doubles up to cap + 1 and the echelon is rebuilt from scratch,
+    so Q_d is computed for the same d = 1, ..., cap + 1 as without the
+    bound."""
+    rows = _integral_rows(coords)
+    highest = max((sum(m) for terms in rows for m in terms), default=0)
+    pack, shift = _packer(nvars, max(cap, highest) + 1)
+    rows, leads = _recombined(rows, pack, shift, cap, witness)
+
+    def insert_step(run: _Run, step: int) -> None:
+        """Insert trunc_top(x^a f_i) for every |a| = step - 1 - o_i, so
+        each row inserted at this step has order exactly step - 1, except
+        when the lead of an earlier f_j divides x^a (the Koszul
+        criterion of the module docstring)."""
+        for i, terms in enumerate(rows):
+            degree = step - 1 - leads[i][0]
+            if degree < 0:
+                continue
+            earlier = [lead for order, lead in leads[:i] if order <= degree]
+            limit = (run.top - degree) << shift
+            kept = [(k, c) for k, c in terms.items() if k < limit]
+            for alpha in _monomials_of_degree(nvars, degree):
+                if any(all(e >= f for e, f in zip(alpha, lead))
+                       for lead in earlier):
+                    continue
+                a = pack(alpha)
+                run.echelon.insert({k + a: c for k, c in kept})
+
+    run = _Run(min(cap + 1, 8), shift)
     dims: list[int] = []
     for d in range(1, cap + 2):
-        run.insert_step(d)
+        insert_step(run, d)
         q_d = math.comb(d - 1 + nvars, nvars) - run.echelon.pivots_below(d)
         dims.append(q_d)
         if d >= 2 and dims[-1] == dims[-2]:
             return dims[-1], d - 1, tuple(dims)
-        if d == top and top <= cap:
-            top = min(2 * top, cap + 1)
-            run = _Run(rows, leads, nvars, top)
+        if d == run.top <= cap:
+            run = _Run(min(2 * run.top, cap + 1), shift)
             for step in range(1, d + 1):
-                run.insert_step(step)
+                insert_step(run, step)
     raise NotIsolatedWithinBound(cap, witness=witness, definite=False)
 
 

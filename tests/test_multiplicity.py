@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from orbitdex import (GermMap, NotIsolatedWithinBound, Poly, multiplicity,
@@ -347,26 +347,26 @@ def test_engine_certificate_with_non_rational_pivot_leads():
         (20, 8, (1, 3, 6, 10, 14, 17, 19, 20, 20))
 
 
-def _recording_nvars(monkeypatch, engine) -> list[int]:
-    """Wrap the key packer so that the returned list ends with the number
-    of variables of the echelon built last: the engine's recombination of
-    its generators and each of its runs build their echelon right after
-    packing its keys."""
-    layout = []
-    packer = engine._packer
+def _spied_packer(monkeypatch) -> list[tuple[int, int]]:
+    """Wrap the key packer so that the returned list gets (nvars, top)
+    per call: the engine chooses its one key layout at the start of each
+    call, and every echelon of the call uses it."""
+    engine = importlib.import_module("orbitdex.multiplicity")
+    calls, packer = [], engine._packer
 
-    def recording_packer(nvars, top):
-        layout.append(nvars)
+    def spied(nvars, top):
+        calls.append((nvars, top))
         return packer(nvars, top)
 
-    monkeypatch.setattr(engine, "_packer", recording_packer)
-    return layout
+    monkeypatch.setattr(engine, "_packer", spied)
+    return calls
 
 
 def _decoded(row, echelon, layout) -> list[tuple[int, ...]]:
     """The exponent tuples of a row's packed keys, in the row's key
-    order, decoded field by field by conftest.unpack_key."""
-    nvars = layout[-1]
+    order, decoded field by field by conftest.unpack_key under the
+    layout chosen last."""
+    nvars = layout[-1][0]
     return [unpack_key(k, nvars, echelon.degree_shift // nvars)
             for k in sorted(row)]
 
@@ -406,12 +406,79 @@ def test_packed_keys_add_under_shifts(data, nvars, top):
     assert pack(m) + pack(a) == pack(tuple(x + y for x, y in zip(m, a)))
 
 
+@pytest.mark.parametrize("top", [65, 129])
+def test_packed_keys_of_sparse_monomials_in_2048_variables(top):
+    """Monomials of 2048 variables with a few nonzero exponents, up to
+    top - 1 in one variable, at the first and last fields and between:
+    pack reads only the support, and the keys still decode field by
+    field, read the degree off by a shift, add under shifts and sort
+    like grevlex_key."""
+    nvars, rng = 2048, random.Random(top)
+    pack, shift = _packer(nvars, top)
+    monos = []
+    for _ in range(60):
+        m = [0] * nvars
+        budget = rng.randint(top - 3, top - 1)
+        for i in rng.sample([0, nvars - 1] + rng.sample(range(1, nvars - 1), 3),
+                            rng.randint(1, 4)):
+            m[i] = e = rng.randint(0, budget)
+            budget -= e
+        monos.append(tuple(m))
+    monos.append(tuple(top - 1 if i == nvars - 1 else 0 for i in range(nvars)))
+    for m in monos:
+        key = pack(m)
+        assert key >> shift == sum(m)
+        assert unpack_key(key, nvars, shift // nvars) == m
+    assert sorted(monos, key=pack) == sorted(monos, key=grevlex_key)
+    for m, a in zip(monos, monos[1:]):
+        total = tuple(x + y for x, y in zip(m, a))
+        if sum(total) < top:
+            assert pack(m) + pack(a) == pack(total)
+
+
+def test_engine_width_covers_an_input_term_above_the_cap(monkeypatch):
+    """A term of degree above cap + 1 sets the key width, wider than the
+    cap needs, and the certificate is still the definition's: the same
+    as without the term, which lies in m^(d* + 1) and so leaves the
+    ideal unchanged."""
+    layouts = _spied_packer(monkeypatch)
+    x, y = variables(2)
+    base = _engine_systems()[3]
+    high = system(base.coords[0] + x**9 * y**11, base.coords[1])
+    for modulus in (1, 3):
+        layouts.clear()
+        result = multiplicity(high.embed(modulus), degree_cap=11)
+        assert layouts[-1] == (2, 21)  # the cap alone needs 12
+        assert (result.value, result.stabilized_at, result.quotient_dims) == \
+            (11, 11, (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 11))
+        _assert_quotients_match_the_definition(high.embed(modulus), result)
+
+
+def test_one_key_layout_per_engine_call(monkeypatch):
+    """Every engine call packs its keys under one layout, chosen once:
+    restarts, a recombination that refuses and the lowest-form decisions
+    included."""
+    layouts = _spied_packer(monkeypatch)
+    calls = _spied_stabilize(monkeypatch)
+    runs = _spied_runs(monkeypatch)
+    x1, x2, x3 = variables(3)
+    g1 = x1**2 - x1 * x2 + x3**3
+    g2 = x2**2 - x2 * x3 + x1**3
+    for f in _restarting_systems():
+        multiplicity(f)
+    with pytest.raises(NotIsolatedWithinBound):
+        multiplicity(system(g1, g2, g1 * 2 - g2))
+    assert max(runs) > 8  # some call restarted
+    assert calls[-1][1] is None  # and one refused
+    assert len(layouts) == len(calls)
+
+
 def test_engine_pivot_rows_are_integral_with_integer_leads(monkeypatch):
     """Every pivot row has integral entries and content 1, and its lead is
     an integer, over Q and over Q(zeta_M) alike.  A pivot row is never
     changed once adopted, so each is checked as it is adopted."""
     engine = importlib.import_module("orbitdex.multiplicity")
-    leads, layout = [], _recording_nvars(monkeypatch, engine)
+    leads, layout = [], _spied_packer(monkeypatch)
 
     class Checked(engine._Echelon):
         def insert(self, row):
@@ -567,7 +634,10 @@ def _shares_a_lead(f: GermMap) -> bool:
     return len(set(leads)) < len(leads)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+# no shrink or explain phase: on a broken engine each failing example
+# runs the engine to the cap, and those phases took minutes
+@settings(max_examples=40, deadline=None, derandomize=True,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate])
 @given(seed=st.integers(0, 2**32 - 1), nvars=st.integers(2, 3),
        max_degree=st.integers(2, 5), modulus=st.sampled_from([1, 3, 4, 6, 12]))
 def test_engine_quotients_match_the_definition(seed, nvars, max_degree,
@@ -581,11 +651,12 @@ def test_engine_quotients_match_the_definition(seed, nvars, max_degree,
     rng = random.Random(seed)
     f, value = random_isolated_system(rng, nvars, max_degree)
     g = _unit_combination(rng, f, modulus)
-    result = multiplicity(g)
+    # Q_1 = 1 and Q_d grows until it repeats, so d* <= value, and the
+    # value of every residual system is at most value: cap value decides
+    # nothing short, and a broken engine stops there instead of at 64
+    result = multiplicity(g, degree_cap=value)
     assert result.value == value
     _assert_quotients_match_the_definition(g, result)
-    # Q_1 = 1 and Q_d grows until it repeats, so d* <= value: cap value
-    # bounds both runs and decides nothing short
     assert _engine_outcome(g, value) == _definition_outcome(g, value)
 
 
@@ -602,16 +673,16 @@ def test_engine_restart_keeps_the_definition(monkeypatch, modulus):
     systems = [f.embed(modulus) if f.modulus == 1 else f
                for f in _restarting_systems()]
     engine = importlib.import_module("orbitdex.multiplicity")
-    runs = []  # runs built per engine call
+    runs = []  # the bound of each run built, per engine call
     stabilize = engine._stabilize
 
     class Counted(engine._Run):
-        def __init__(self, *args):
-            super().__init__(*args)
-            runs[-1] += 1
+        def __init__(self, top, shift):
+            super().__init__(top, shift)
+            runs[-1].append(top)
 
     def counted_stabilize(*args, **kwargs):
-        runs.append(0)
+        runs.append([])
         return stabilize(*args, **kwargs)
 
     monkeypatch.setattr(engine, "_Run", Counted)
@@ -620,7 +691,9 @@ def test_engine_restart_keeps_the_definition(monkeypatch, modulus):
         runs.clear()
         result = multiplicity(g)
         assert result.stabilized_at >= 8
-        assert max(runs) >= 2  # a rebuild ran
+        assert max(map(len, runs)) >= 2  # a rebuild ran
+        for tops in runs:  # each restart raises the bound
+            assert tops == sorted(set(tops))
         _assert_quotients_match_the_definition(g, result)
 
 
@@ -653,7 +726,7 @@ def test_engine_builds_only_rows_that_can_change_q_d(monkeypatch):
     being the recombined generators.  The second system's coordinates
     share their lead x^2, which the recombination removes."""
     engine = importlib.import_module("orbitdex.multiplicity")
-    steps, layout = [], _recording_nvars(monkeypatch, engine)
+    steps, layout = [], _spied_packer(monkeypatch)
 
     class Recorded(engine._Echelon):
         def __init__(self, *args):
@@ -781,8 +854,8 @@ def _spied_runs(monkeypatch) -> list[int]:
     runs = []
 
     class Spied(engine._Run):
-        def __init__(self, rows, leads, nvars, top):
-            super().__init__(rows, leads, nvars, top)
+        def __init__(self, top, shift):
+            super().__init__(top, shift)
             runs.append(top)
 
     monkeypatch.setattr(engine, "_Run", Spied)

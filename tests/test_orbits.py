@@ -2,13 +2,15 @@ import math
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from orbitdex import (ConsistencyError, GermMap, JordanBlock, JordanSpec, Poly,
-                      direct_iterate_index, fixed_point_index, multiplicity,
-                      orbit_spectrum, parse_germ, validate_rnf)
+from orbitdex import (ConsistencyError, GermMap, JordanBlock, JordanSpec,
+                      NotIsolatedWithinBound, Poly, direct_iterate_index,
+                      fixed_point_index, multiplicity, orbit_spectrum,
+                      parse_germ, validate_rnf)
 from orbitdex import orbits
+from orbitdex.cli import main
 from orbitdex.jordan import period_blocks
 from orbitdex.orbits import prime_factors, solve_counts_triangular
 from orbitdex.polynomials import variables
@@ -367,18 +369,59 @@ def resonant_germs(draw):
     return spec, GermMap(coords, nvars=n, modulus=f.modulus)
 
 
+def _index_or_reject(spec, f, q):
+    """index(f^q), or the example rejected when f^q - id is provably not
+    isolated; an ambiguous refusal still fails."""
+    try:
+        return fixed_point_index(spec, f, q)
+    except NotIsolatedWithinBound as exc:
+        if not exc.definite:
+            raise
+        reject()
+
+
 @settings(max_examples=25, deadline=None)
 @given(resonant_germs())
 def test_dold_congruences(germ):
     """sum over d | q of mu(q/d) * index(f^d) is divisible by q for every
-    q <= 12, inside the period set or not."""
+    q <= 12, inside the period set or not.  A germ with an iterate whose
+    fixed point is not isolated has no index there and is rejected."""
     spec, f = germ
     assert validate_rnf(spec, f).ok
-    index = {d: fixed_point_index(spec, f, d) for d in range(1, 13)}
+    index = {d: _index_or_reject(spec, f, d) for d in range(1, 13)}
     for q in index:
         dold = sum(_moebius(q // d) * index[d]
                    for d in range(1, q + 1) if q % d == 0)
         assert dold % q == 0, (q, dold, index)
+
+
+# resonant_germs can draw this germ.  On the curve x1^2 = x2^3 it is
+# (x1, x2) -> (-x1, L2*x2), of order 6, so f^6 fixes every point of it
+NOT_ISOLATED_AT_6 = """
+matrix {
+  block { size = 1, order = 2, power = 1 }
+  block { size = 1, order = 3, power = 1 }
+}
+map {
+  f1 = -x1 + x1^5 - x1^3*x2^3;
+  f2 = L2*x2 + x1^2*x2 - x2^4;
+}
+"""
+
+
+def test_an_iterate_that_is_not_isolated_is_a_definite_refusal(capsys,
+                                                                tmp_path):
+    """The iterates q = 6 and 12 of that germ are refused as definitely
+    not isolated, and spectrum exits 1."""
+    doc = parse_germ(NOT_ISOLATED_AT_6)
+    for q in (6, 12):
+        with pytest.raises(NotIsolatedWithinBound) as err:
+            fixed_point_index(doc.matrix, doc.gmap, q)
+        assert err.value.definite
+    path = tmp_path / "not_isolated_at_6.germ"
+    path.write_text(NOT_ISOLATED_AT_6)
+    assert main(["spectrum", str(path)]) == 1
+    assert "not isolated" in capsys.readouterr().out
 
 
 # derandomized: about one germ in 150 sends a q that division does not
