@@ -42,6 +42,15 @@ span trunc_d(kept rows) = span trunc_d(all rows) for every d <= top, so
 every Q_d, d* and certificate is unchanged; the argument holds for any
 generating list, the recombined one included.
 
+On the keys below the test is a lookup: l_j divides x^a exactly when
+key(a) is lead_j + key(c) for some c of degree |a| - o_j, lead_j being
+l_j's key.  Both sides have degree |a| < w, and key is additive there
+(key(c) + key(l_j) = key(x^c l_j), no field carrying) and one-to-one,
+so the sum is key(a) exactly when x^c l_j = x^a.  The engine builds,
+once per degree k, the keys lead_j + key(c) of the multiples of degree
+k of every lead with o_j <= k, each with its least j, and skips x^a for
+f_i when that j is below i.
+
 One engine call keys every monomial by one int, under one width
 w = max(cap, highest input degree) + 1: its degree in the high bits,
 then x_n, ..., x_1 in fields of b = w.bit_length() bits.  The full rows
@@ -49,8 +58,12 @@ that the recombination reads have degree < w, and every shifted row is
 cut below a top of at most cap + 1 <= w, so every exponent is < w < 2^b:
 no field overflows, and grevlex restricted to degree < w is plain
 integer order; a shift by x^a is the addition of a's key, and the
-degree is a right shift.  The rows are keyed once, as they enter the
-engine, and every run, restarts included, cuts those same keys.  The
+degree is a right shift.  Only the input terms are packed, once each,
+as the rows enter the engine; every run, restarts included, cuts those
+same keys.  Past that the engine sees no exponent tuple: the leads are
+the recombination's pivot columns, with order lead >> (n*b), and the
+multiplier keys of degree k are the sums of those of degree k - 1 and
+the n unit keys, sorted, so in grevlex order, built once per call.  The
 arithmetic and the pivot order are those of exponent-tuple keys.
 
 Exact closed-form reductions run first and hand the engine only small
@@ -85,6 +98,7 @@ identical with or without them.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -136,30 +150,6 @@ class MultiplicityResult:
     fast_path: bool
     stabilized_at: int | None = None
     quotient_dims: tuple[int, ...] = ()
-
-
-def _monomials_of_degree(nvars: int, degree: int):
-    """All exponent tuples of the given total degree, grevlex-ascending.
-    Grevlex within a degree is lex order on (e_n, ..., e_2), x1 taking the
-    rest, so an odometer over those exponents lists them in order, with
-    no recursion on nvars and no sort."""
-    rev = [0] * (nvars - 1)  # e_n, ..., e_2
-    total = 0
-    out = []
-    while True:
-        out.append((degree - total, *reversed(rev)))
-        if rev and total < degree:
-            rev[-1] += 1
-            total += 1
-            continue
-        k = len(rev) - 1
-        while k >= 0 and not rev[k]:
-            k -= 1
-        if k <= 0:  # (e_n = degree) was the last; or nothing to advance
-            return out
-        total -= rev[k] - 1
-        rev[k] = 0
-        rev[k - 1] += 1
 
 
 class _Echelon:
@@ -246,6 +236,23 @@ def _packer(nvars: int, top: int):
     return pack, shift
 
 
+def _multipliers(nvars: int, shift: int):
+    """by_degree(k): the keys, in _packer's layout with this shift, of
+    every monomial of degree k, ascending, so in grevlex order.  Degree k
+    is built once, from degree k - 1 and the n unit keys, and kept; the
+    keys add without carry while the degree stays below the width."""
+    bits = shift // nvars
+    units = [1 << shift | 1 << v * bits for v in range(nvars)]
+    keys = [[0]]
+
+    def by_degree(k: int) -> list[int]:
+        while len(keys) <= k:
+            keys.append(sorted({m + u for m in keys[-1] for u in units}))
+        return keys[k]
+
+    return by_degree
+
+
 def _integral_rows(coords) -> list[dict]:
     """The rows of coords with denominators cleared: ints over Q, den-1
     CyclotomicNumbers over Q(zeta_M).  This helper and the two below are
@@ -298,22 +305,15 @@ class _Run:
 
 
 def _recombined(rows, pack, shift: int, cap: int, witness: str | None):
-    """(rows, leads): the pivot rows of one echelon of the full rows,
-    keyed by pack, in input order, and their (order, lead monomial)
-    pairs; or NotIsolatedWithinBound when a row reduces to zero (see the
-    module docstring).  Every pivot column is a key of an input row, so a
-    table of those gives the lead monomials."""
-    basis, monomial = _Echelon(shift), {}
+    """The pivot rows of one echelon of the full rows, keyed by pack, in
+    input order, by their pivot columns, the leads; or
+    NotIsolatedWithinBound when a row reduces to zero (see the module
+    docstring)."""
+    basis = _Echelon(shift)
     for terms in rows:
-        packed = {}
-        for m, c in terms.items():
-            key = pack(m)
-            monomial[key] = m
-            packed[key] = c
-        if basis.insert(packed) is None:
+        if basis.insert({pack(m): c for m, c in terms.items()}) is None:
             raise NotIsolatedWithinBound(cap, witness=witness, definite=False)
-    return (list(basis.pivots.values()),
-            [(col >> shift, monomial[col]) for col in basis.pivots])
+    return basis.pivots
 
 
 def _stabilize(coords, nvars: int, cap: int,
@@ -327,30 +327,41 @@ def _stabilize(coords, nvars: int, cap: int,
     (see the module docstring).  When d reaches top without a repeat,
     top doubles up to cap + 1 and the echelon is rebuilt from scratch,
     so Q_d is computed for the same d = 1, ..., cap + 1 as without the
-    bound."""
+    bound.  The multipliers and the multiples of the leads of each degree
+    are built once, and kept across steps and restarts."""
     rows = _integral_rows(coords)
     highest = max((sum(m) for terms in rows for m in terms), default=0)
     pack, shift = _packer(nvars, max(cap, highest) + 1)
-    rows, leads = _recombined(rows, pack, shift, cap, witness)
+    basis = _recombined(rows, pack, shift, cap, witness)
+    multipliers = _multipliers(nvars, shift)
+
+    @functools.cache
+    def first_divisor(degree: int) -> dict[int, int]:
+        """The key of every monomial of this degree that some lead
+        divides, lead_j + c for c of degree degree - o_j, mapped to the
+        least such j."""
+        table = {}
+        for j, lead in enumerate(basis):
+            if lead >> shift <= degree:
+                for c in multipliers(degree - (lead >> shift)):
+                    table.setdefault(lead + c, j)
+        return table
 
     def insert_step(run: _Run, step: int) -> None:
         """Insert trunc_top(x^a f_i) for every |a| = step - 1 - o_i, so
         each row inserted at this step has order exactly step - 1, except
         when the lead of an earlier f_j divides x^a (the Koszul
         criterion of the module docstring)."""
-        for i, terms in enumerate(rows):
-            degree = step - 1 - leads[i][0]
+        for i, (lead, terms) in enumerate(basis.items()):
+            degree = step - 1 - (lead >> shift)
             if degree < 0:
                 continue
-            earlier = [lead for order, lead in leads[:i] if order <= degree]
+            first = first_divisor(degree)
             limit = (run.top - degree) << shift
             kept = [(k, c) for k, c in terms.items() if k < limit]
-            for alpha in _monomials_of_degree(nvars, degree):
-                if any(all(e >= f for e, f in zip(alpha, lead))
-                       for lead in earlier):
-                    continue
-                a = pack(alpha)
-                run.echelon.insert({k + a: c for k, c in kept})
+            for a in multipliers(degree):
+                if first.get(a, i) >= i:
+                    run.echelon.insert({k + a: c for k, c in kept})
 
     run = _Run(min(cap + 1, 8), shift)
     dims: list[int] = []
@@ -444,16 +455,11 @@ def _mult(coords: list[Poly], ctx: _Context, top: bool) -> int:
             continue
 
         # a variable missing from every coordinate gives a product zero set
-        used = [False] * nvars
-        gcds = [0] * nvars
-        for p in coords:
-            for mono in p.terms:
-                for i, e in enumerate(mono):
-                    if e:
-                        used[i] = True
-                        gcds[i] = math.gcd(gcds[i], e)
-        if not all(used):
-            miss = used.index(False)
+        # (its exponent gcd is 0)
+        gcds = [math.gcd(*column)
+                for column in zip(*(m for p in coords for m in p.terms))]
+        if 0 in gcds:
+            miss = gcds.index(0)
             raise NotIsolatedWithinBound(
                 ctx.cap, witness=f"variable x{miss + 1} appears in no "
                                  f"coordinate, so the zero set contains its axis",

@@ -90,8 +90,8 @@ class Poly:
     def variable(index: int, nvars: int, modulus: int = 1) -> Poly:
         if not 0 <= index < nvars:
             raise ValueError(f"variable index {index} out of range for {nvars}")
-        mono = tuple(1 if j == index else 0 for j in range(nvars))
-        return Poly(nvars, modulus, {mono: 1})
+        mono = (0,) * index + (1,) + (0,) * (nvars - index - 1)
+        return Poly(nvars, modulus)._wrap({mono: CyclotomicNumber.one(modulus)})
 
     # -- basic queries -----------------------------------------------------
 

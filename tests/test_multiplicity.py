@@ -15,7 +15,7 @@ from orbitdex import (GermMap, NotIsolatedWithinBound, Poly, multiplicity,
                       parse_germ)
 from orbitdex.cyclotomic import root_of_unity
 from orbitdex.multiplicity import (_integral_rows, _lowest_isolated,
-                                   _monomials_of_degree, _packer, _stabilize)
+                                   _multipliers, _packer, _stabilize)
 from orbitdex.polynomials import grevlex_key, variables
 from conftest import (ReferenceEchelon, cronin, random_isolated_system,
                       random_poly, reference_multiplicity,
@@ -1102,18 +1102,49 @@ def test_a_peel_that_zeroes_a_coordinate_names_its_reduced_position():
 
 @pytest.mark.parametrize("nvars, degree", [
     (n, d) for n in range(1, 5) for d in range(6)] + [(2, 17), (6, 3)])
-def test_monomials_of_degree_in_grevlex_order(nvars, degree):
+def test_multipliers_are_packed_monomials_in_grevlex_order(nvars, degree):
+    """The keys of one degree are those that _packer gives the exponent
+    tuples of that degree, in grevlex order, built by brute force."""
+    pack, shift = _packer(nvars, degree + 1)
     brute = [m for m in itertools.product(range(degree + 1), repeat=nvars)
              if sum(m) == degree]
-    assert _monomials_of_degree(nvars, degree) == sorted(brute, key=grevlex_key)
+    assert _multipliers(nvars, shift)(degree) == \
+        [pack(m) for m in sorted(brute, key=grevlex_key)]
 
 
-def test_monomials_of_degree_do_not_recurse_on_nvars():
+def test_multipliers_do_not_recurse_on_nvars():
+    pack, shift = _packer(1500, 2)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(200)
     try:
-        linear = _monomials_of_degree(1500, 1)
+        linear = _multipliers(1500, shift)(1)
     finally:
         sys.setrecursionlimit(limit)
-    assert linear == sorted((tuple(int(k == i) for k in range(1500))
-                             for i in range(1500)), key=grevlex_key)
+    assert linear == [pack(m) for m in sorted(
+        (tuple(int(k == i) for k in range(1500)) for i in range(1500)),
+        key=grevlex_key)]
+
+
+def test_engine_packs_each_input_term_once_and_no_multiplier(monkeypatch):
+    """Over one engine call that restarts, pack runs once per term of the
+    input rows, and never on a multiplier: every shifted row is a key
+    addition."""
+    engine = importlib.import_module("orbitdex.multiplicity")
+    packed, packer = [], engine._packer
+
+    def spied(nvars, top):
+        pack, shift = packer(nvars, top)
+
+        def counted(mono):
+            packed.append(mono)
+            return pack(mono)
+
+        return counted, shift
+
+    monkeypatch.setattr(engine, "_packer", spied)
+    runs = _spied_runs(monkeypatch)
+    f = parse_germ(NON_RATIONAL_LEADS).gmap
+    value, d_star, _ = _stabilize(f.coords, f.nvars, 64)
+    assert (value, d_star) == (20, 8)
+    assert len(runs) >= 2  # a restart ran
+    assert sorted(packed) == sorted(m for p in f.coords for m in p.terms)

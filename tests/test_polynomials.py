@@ -24,6 +24,22 @@ def test_nvars_mismatch_rejected():
         x1.mul(y2)
 
 
+@pytest.mark.parametrize("modulus", [1, 6])
+def test_variable_is_the_validated_unit_monomial(modulus):
+    """Poly.variable skips the constructor's checks and still gives what
+    the constructor gives; an index out of range is refused."""
+    for nvars in (1, 3, 7):
+        for index in range(nvars):
+            unit = tuple(int(k == index) for k in range(nvars))
+            x = Poly.variable(index, nvars, modulus)
+            assert x == Poly(nvars, modulus, {unit: 1})
+            assert (x.nvars, x.modulus) == (nvars, modulus)
+            assert x.terms[unit].modulus == modulus
+        for index in (-1, nvars):
+            with pytest.raises(ValueError):
+                Poly.variable(index, nvars, modulus)
+
+
 def test_compose_self_composition():
     """(-x + x^3) with itself: expand -(-x+x^3) + (-x+x^3)^3 by hand:
     x - x^3 - x^3 + 3x^5 - 3x^7 + x^9."""
