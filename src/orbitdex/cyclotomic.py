@@ -188,11 +188,13 @@ class CyclotomicNumber:
     # -- constructors --------------------------------------------------
 
     @staticmethod
-    def from_rational(value, modulus: int = 1) -> CyclotomicNumber:
+    def from_rational(value, modulus: int = 1, power: int = 0) -> CyclotomicNumber:
+        """value * z^power for a rational value."""
         if not isinstance(value, (int, Fraction)):
             value = Fraction(value)
         top = value.numerator
-        return _make(modulus, tuple([top * u for u in _zeta_power(modulus, 0)]),
+        return _make(modulus,
+                     tuple([top * u for u in _zeta_power(modulus, power % modulus)]),
                      value.denominator)
 
     @staticmethod

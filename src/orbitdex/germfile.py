@@ -16,6 +16,14 @@ eigenvalue sugar L<j> for block j.  Every declared coordinate f1..fn must
 appear exactly once and have a zero constant term.  All coefficients are
 parsed into Q(zeta_M).
 
+The matrix block and the coordinate names are read token by token.  The
+body of each coordinate is read factor by factor, each factor and the
+separator after it by one regex match, and each term becomes one
+exponent tuple and one CyclotomicNumber when it ends; a factor that the
+regex does not match, or whose numbers are out of bound, is read again
+token by token for the error and its position.  A character that no
+token can hold is refused first, wherever it stands.
+
 The printer emits a canonical form: terms in ascending degree (x1-major
 within a degree), each cyclotomic coefficient expanded into its basis
 components a0 + a1*w(M,1) + a2*w(M,1)^2 + ..., one printed term per
@@ -27,13 +35,13 @@ repr(Poly) use too; only the L<j> sugar is the printer's own.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
 
-from .cyclotomic import CyclotomicNumber, join_terms, root_of_unity
+from .cyclotomic import CyclotomicNumber, join_terms
 from .jordan import (MAX_DIMENSION, MAX_EXPONENT, MAX_MODULUS, GermParseError,
                      JordanBlock, JordanSpec, global_order)
 from .polynomials import GermMap, Poly, monomial_factors
@@ -56,20 +64,44 @@ class GermDocument:
 _MAX_DIGITS = 4300
 _DIGIT_LIMIT = 10**_MAX_DIGITS
 _LIMIT_BITS = _DIGIT_LIMIT.bit_length()   # 2^_LIMIT_BITS > _DIGIT_LIMIT
+# The bound on r in a root literal w(d, r)
+_MAX_ROOT_POWER = 10**18
+
+# Blanks and comments between two tokens
+_BLANKS = r"(?:[ \t\r\n]|\#[^\n]*\n)*"
 
 # Blanks and comments, then one token.  A comment that ends the text has
 # no newline, so it is read as part of the end of input, which then sits
 # at its '#'; any other character is an error.
-_TOKEN = re.compile(r"""
-    (?:[ \t\r\n]|\#[^\n]*\n)*
+_TOKEN = re.compile(_BLANKS + r"""
     (?: (?P<INT>[0-9]+)
       | (?P<NAME>[A-Za-z_][A-Za-z_0-9]*)
       | (?P<SYMBOL>[{}=,;+\-*/^()])
       | (?P<EOF>(?:\#[^\n]*)?\Z)
       | (?P<BAD>.) )""", re.VERBOSE | re.DOTALL)
 
-# (kind, text, offset); the kind of a symbol is the symbol itself
-_Token = tuple[str, str, int]
+# Every character that a token or a blank can hold, and comments: the
+# first character past a match is the first that _TOKEN reads as BAD
+_TEXT = re.compile(r"(?:[ \t\r\n{}=,;+\-*/^()A-Za-z_0-9]+|\#[^\n]*)*")
+
+# One factor of a term and the separator after it: INT, INT/INT,
+# w(INT,INT), L<j> or x<j>, with an optional ^INT.  Every INT ends at a
+# non-digit and every name at a non-name character, and a missing
+# denominator or exponent is asserted absent, so the regex matches
+# exactly a factor of the grammar, read as the tokens read it; sep is
+# None when the next token is not * + - or ;.
+_FACTOR = re.compile(rf"""
+    {_BLANKS}
+    (?: (?P<num>[0-9]+)(?![0-9])
+        (?: {_BLANKS} / {_BLANKS} (?P<den>[0-9]+)(?![0-9]) | (?!{_BLANKS}/) )
+      | w {_BLANKS} \( {_BLANKS} (?P<order>[0-9]+) {_BLANKS} ,
+        {_BLANKS} (?P<power>[0-9]+) {_BLANKS} \)
+      | (?P<name>[Lx]) (?P<index>[0-9]+) (?![A-Za-z_0-9]) )
+    (?: {_BLANKS} \^ {_BLANKS} (?P<exp>[0-9]+)(?![0-9]) | (?!{_BLANKS}\^) )
+    {_BLANKS} (?P<sep>[*+\-;])?""", re.VERBOSE)
+
+# (kind, text, offset, end); the kind of a symbol is the symbol itself
+_Token = tuple[str, str, int, int]
 
 
 def _position(text: str, offset: int) -> tuple[int, int]:
@@ -77,72 +109,79 @@ def _position(text: str, offset: int) -> tuple[int, int]:
     return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    for match in _TOKEN.finditer(text):
-        kind = match.lastgroup
-        offset = match.start(kind)
-        if kind == "EOF":
-            tokens.append(("EOF", "", offset))
-            return tokens
-        token = match[kind]
-        if kind == "BAD":
-            raise GermParseError(f"unexpected character {token!r}",
-                                 *_position(text, offset))
-        tokens.append((token if kind == "SYMBOL" else kind, token, offset))
+def _token_at(text: str, offset: int) -> _Token:
+    """The token after the blanks and comments at offset."""
+    match = _TOKEN.match(text, offset)
+    kind = match.lastgroup
+    start = match.start(kind)
+    if kind == "EOF":
+        return "EOF", "", start, start
+    token = match[kind]
+    if kind == "BAD":
+        raise GermParseError(f"unexpected character {token!r}",
+                             *_position(text, start))
+    return token if kind == "SYMBOL" else kind, token, start, match.end()
 
 
-# A term: an exponent tuple and its coefficient, None for 1 (the term is
-# a product of variables)
-_Term = tuple[tuple[int, ...], CyclotomicNumber | None]
+@functools.lru_cache(maxsize=None)
+def _root_height(modulus: int, power: int) -> int:
+    """The largest absolute component of z^power in Q(zeta_modulus)."""
+    return max(map(abs, CyclotomicNumber.from_rational(1, modulus, power).num))
 
 
 class _Parser:
-    """Recursive descent over the tokens; spec, modulus and coord (the
-    name token of the coordinate being read) are set as the document is
+    """Reads the document token by token, and each coordinate of the map
+    factor by factor with _FACTOR; spec, modulus and coord (the name
+    token of the coordinate being read) are set as the document is
     read."""
 
     def __init__(self, text: str):
+        # a character no token can hold is refused before anything is read
+        bad = _TEXT.match(text).end()
+        if bad < len(text):
+            raise GermParseError(f"unexpected character {text[bad]!r}",
+                                 *_position(text, bad))
         self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
+        self.offset = 0
 
-    def peek(self) -> str:
-        """The kind of the next token."""
-        return self.tokens[self.pos][0]
+    def peek(self) -> _Token:
+        return _token_at(self.text, self.offset)
 
     def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
+        tok = _token_at(self.text, self.offset)
+        self.offset = tok[3]
         return tok
 
-    def fail(self, message: str, tok: _Token | None = None):
-        offset = (tok or self.tokens[self.pos])[2]
+    def fail(self, message: str, offset: int | None = None):
+        if offset is None:
+            offset = self.peek()[2]
         raise GermParseError(message, *_position(self.text, offset))
 
     def expect(self, kind: str, what: str | None = None) -> _Token:
         tok = self.next()
         if tok[0] != kind:
-            self.fail(f"expected {what or kind}, found {tok[1] or 'end of input'}", tok)
+            self.fail(f"expected {what or kind}, found {tok[1] or 'end of input'}",
+                      tok[2])
         return tok
 
     def expect_name(self, name: str) -> _Token:
         tok = self.next()
         if tok[0] != "NAME" or tok[1] != name:
-            self.fail(f"expected '{name}', found {tok[1] or 'end of input'}", tok)
+            self.fail(f"expected '{name}', found {tok[1] or 'end of input'}", tok[2])
         return tok
 
-    def integer(self, digits: str, tok: _Token) -> int:
+    def integer(self, digits: str, offset: int) -> int:
         try:
             return int(digits)
         except ValueError:  # more digits than int() converts
-            self.fail(f"{digits[:12]}... has too many digits", tok)
+            self.fail(f"{digits[:12]}... has too many digits", offset)
 
     def expect_int(self, what: str, maximum: int = MAX_EXPONENT) -> int:
         tok = self.expect("INT", what)
-        value = self.integer(tok[1], tok)
+        value = self.integer(tok[1], tok[2])
         if value > maximum:
-            self.fail(f"{what} {value} exceeds the supported bound {maximum}", tok)
+            self.fail(f"{what} {value} exceeds the supported bound {maximum}",
+                      tok[2])
         return value
 
     # -- grammar ---------------------------------------------------------
@@ -160,17 +199,16 @@ class _Parser:
         self.expect("{")
         blocks = []
         modulus, n = 1, 0
-        while self.tokens[self.pos][:2] == ("NAME", "block"):
-            tok = self.tokens[self.pos]
+        while (tok := self.peek())[:2] == ("NAME", "block"):
             blocks.append(self.block_decl())
             modulus = math.lcm(modulus, blocks[-1].order)
             if modulus > MAX_MODULUS:
                 self.fail(f"matrix order {modulus} exceeds the supported "
-                          f"bound {MAX_MODULUS}", tok)
+                          f"bound {MAX_MODULUS}", tok[2])
             n += blocks[-1].size
             if n > MAX_DIMENSION:
                 self.fail(f"matrix dimension {n} exceeds the supported "
-                          f"bound {MAX_DIMENSION}", tok)
+                          f"bound {MAX_DIMENSION}", tok[2])
         self.expect("}")
         if not blocks:
             self.fail("matrix must declare at least one block")
@@ -190,7 +228,7 @@ class _Parser:
         try:
             return JordanBlock(fields["size"], fields["order"], fields["power"])
         except ValueError as exc:
-            self.fail(str(exc), tok)
+            self.fail(str(exc), tok[2])
 
     def map_block(self) -> list[Poly]:
         """The coordinates; each coefficient must be one the printer can
@@ -198,25 +236,27 @@ class _Parser:
         self.expect_name("map")
         self.expect("{")
         n = self.spec.n
+        self.eigenpowers = [b.power * (self.modulus // b.order) % self.modulus
+                            for b in self.spec.blocks]
         coords: dict[int, Poly] = {}
-        while self.peek() != "}":
+        while self.peek()[0] != "}":
             tok = self.coord = self.expect("NAME", "a coordinate name f1..f%d" % n)
             name = tok[1]
             if not (name.startswith("f") and name[1:].isdigit()):
-                self.fail(f"expected a coordinate name f1..f{n}", tok)
-            index = self.integer(name[1:], tok)
+                self.fail(f"expected a coordinate name f1..f{n}", tok[2])
+            index = self.integer(name[1:], tok[2])
             if not 1 <= index <= n:
-                self.fail(f"coordinate {name} out of range 1..{n}", tok)
+                self.fail(f"coordinate {name} out of range 1..{n}", tok[2])
             if index - 1 in coords:
-                self.fail(f"duplicate coordinate {name}", tok)
+                self.fail(f"duplicate coordinate {name}", tok[2])
             self.expect("=")
-            poly = self.expr()
-            self.expect(";")
-            if (0,) * n in poly.terms:
-                self.fail(f"coordinate {name} has a nonzero constant term", tok)
-            for c in poly.terms.values():
-                self.check_coefficient(c)
-            coords[index - 1] = poly
+            terms, merged = self.coordinate()
+            if (0,) * n in terms:
+                self.fail(f"coordinate {name} has a nonzero constant term", tok[2])
+            for mono in merged:
+                if mono in terms:
+                    self.check_coefficient(terms[mono])
+            coords[index - 1] = Poly(n, self.modulus)._wrap(terms)
         self.expect("}")
         missing = [f"f{j + 1}" for j in range(n) if j not in coords]
         if missing:
@@ -234,118 +274,160 @@ class _Parser:
                for part in (comp.numerator, comp.denominator)):
             self.refuse_digits()
 
+    def check_product(self, q, r: int) -> None:
+        """check_coefficient of q * z^r, q rational, formed only when it
+        may be out of bound: its num is at most q's numerator times the
+        largest component of z^r, over at most q's denominator."""
+        if (q.denominator < _DIGIT_LIMIT and abs(q.numerator)
+                * _root_height(self.modulus, r) < _DIGIT_LIMIT):
+            return
+        self.check_coefficient(CyclotomicNumber.from_rational(q, self.modulus, r))
+
     def refuse_digits(self):
         self.fail(f"coordinate {self.coord[1]} has a coefficient of more "
                   f"than {_MAX_DIGITS} digits, which cannot be printed",
-                  self.coord)
+                  self.coord[2])
 
-    # A product of atoms is one monomial times one number, so each term is
-    # built as a _Term, and only the sum of a coordinate's terms is a Poly.
+    # A coordinate is read factor by factor with _FACTOR.  The tokens of
+    # a factor that matches are checked by plain comparisons; a factor
+    # that does not match, or whose tokens fail a check, is read again by
+    # refuse_factor, token by token, which raises the error the grammar
+    # reports first.  A term is kept as a rational q (an int or a
+    # Fraction), a root power r (its roots of unity multiply to z^r) and
+    # a sparse exponent dict, and becomes one monomial and one
+    # CyclotomicNumber when it ends.  Every partial product is held under
+    # the digit bound and every exponent under MAX_EXPONENT, so that the
+    # printed term parses back.
 
-    def expr(self) -> Poly:
-        terms: dict[tuple, CyclotomicNumber] = {}
-        one = CyclotomicNumber.one(self.modulus)
+    def coordinate(self) -> tuple[dict, list]:
+        """The terms of the coordinate from here to its ';', and the
+        monomials whose coefficients merged from several terms."""
+        text, n, modulus = self.text, self.spec.n, self.modulus
+        blocks, eigenpowers = self.spec.m, self.eigenpowers
+        tok = self.peek()
         sign = 1
-        kind = self.peek()
-        if kind in "+-":
-            self.next()
-            sign = -1 if kind == "-" else 1
+        if tok[0] in "+-":
+            self.offset = tok[3]
+            sign = -1 if tok[0] == "-" else 1
+        offset = self.offset
+        terms: dict[tuple, CyclotomicNumber] = {}
+        merged = []
+        q, r, exps = 1, 0, {}
         while True:
-            mono, c = self.term()
-            if c is None:
-                c = one
-            if c:
-                if sign < 0:
-                    c = -c
-                prev = terms.get(mono)
-                total = c if prev is None else prev + c
-                if total:
-                    terms[mono] = total
+            m = _FACTOR.match(text, offset)
+            if m is None:
+                self.refuse_factor(offset)
+            num, den, order, power, name, index, exp, sep = m.groups()
+            try:
+                e = 1 if exp is None else int(exp)
+                if num is not None:
+                    d = int(num)
+                    if den is not None:
+                        b = int(den)
+                        valid = 0 < b < _DIGIT_LIMIT
+                        if valid:
+                            d = Fraction(d, b)
+                    else:
+                        valid = True
+                elif name is None:
+                    o, k = int(order), int(power)
+                    valid = (0 < o <= MAX_EXPONENT and k <= _MAX_ROOT_POWER
+                             and modulus % o == 0)
+                    if valid:
+                        k = k * (modulus // o) % modulus
                 else:
-                    del terms[mono]
-            kind = self.peek()
-            if kind in "+-":
-                self.next()
-                sign = -1 if kind == "-" else 1
+                    j = int(index) - 1
+                    valid = 0 <= j < (n if name == "x" else blocks)
+            except ValueError:  # more digits than int() converts
+                valid = False
+            if not valid or e > MAX_EXPONENT:
+                self.refuse_factor(offset)
+            if name == "x":
+                exps[j] = total = exps.get(j, 0) + e
+                if total > MAX_EXPONENT:
+                    self.fail(f"exponent {total} exceeds the supported bound "
+                              f"{MAX_EXPONENT}", m.start("name"))
+            else:
+                if num is None:
+                    r = (r + (eigenpowers[j] if name else k) * e) % modulus
+                else:
+                    if exp is not None:
+                        # if |p| or q of d = p/q is at least 2^b, the
+                        # numerator or denominator of d^e is at least
+                        # 2^(b*e): refuse such a power before computing it
+                        if e * (max(d.numerator, d.denominator).bit_length() - 1) \
+                                >= _LIMIT_BITS:
+                            self.refuse_digits()
+                        d = d ** e
+                    q *= d
+                if r or type(q) is not int or not -_DIGIT_LIMIT < q < _DIGIT_LIMIT:
+                    self.check_product(q, r)
+            if sep == "*":
+                offset = m.end()
                 continue
-            return Poly(self.spec.n, self.modulus, terms)
+            if q:
+                if exps:
+                    mono = [0] * n
+                    for v, x in exps.items():
+                        mono[v] = x
+                    mono = tuple(mono)
+                else:
+                    mono = (0,) * n
+                c = CyclotomicNumber.from_rational(q if sign > 0 else -q,
+                                                   modulus, r)
+                prev = terms.get(mono)
+                if prev is None:
+                    terms[mono] = c
+                else:
+                    total = prev + c
+                    if total:
+                        terms[mono] = total
+                        merged.append(mono)
+                    else:
+                        del terms[mono]
+            self.offset = offset = m.end()
+            if sep == "+" or sep == "-":
+                sign = -1 if sep == "-" else 1
+                q, r, exps = 1, 0, {}
+                continue
+            if sep is None:
+                self.expect(";")
+            return terms, merged
 
-    def term(self) -> _Term:
-        # every partial product is held under the digit bound, so no
-        # product is formed from factors of more than _MAX_DIGITS digits;
-        # and every exponent of the monomial under MAX_EXPONENT, so the
-        # printed term parses back
-        mono, c = self.atom()
-        if c is not None:
-            self.check_coefficient(c)
-        while self.peek() == "*":
-            self.next()
-            tok = self.tokens[self.pos]
-            factor, d = self.atom()
-            mono = tuple(map(add, mono, factor))
-            top = max(mono)
-            if top > MAX_EXPONENT:
-                self.fail(f"exponent {top} exceeds the supported bound "
-                          f"{MAX_EXPONENT}", tok)
-            if d is not None:
-                c = d if c is None else c * d
-                self.check_coefficient(c)
-        return mono, c
-
-    def atom(self) -> _Term:
-        mono, c = self.primary()
-        if self.peek() == "^":
-            self.next()
-            exponent = self.expect_int("exponent")
-            mono = tuple(e * exponent for e in mono)
-            if c is not None:
-                # if |p| or q of a rational c = p/q is at least 2^b, the
-                # numerator or denominator of c^e is at least 2^(b*e):
-                # refuse such a power before computing it
-                if c.is_rational() and exponent * (
-                        max(abs(c.num[0]), c.den).bit_length() - 1) >= _LIMIT_BITS:
-                    self.refuse_digits()
-                c = c ** exponent
-        return mono, c
-
-    def primary(self) -> _Term:
-        spec, modulus = self.spec, self.modulus
-        n = spec.n
-        tok = self.next()
-        kind, name, _ = tok
+    def refuse_factor(self, offset: int):
+        """Raise the error of the factor at offset: it is read token by
+        token, each token checked as it is reached, up to the token where
+        the factor breaks off or fails a check."""
+        self.offset = offset
+        kind, name, at, _ = self.next()
         if kind == "INT":
-            value = self.integer(name, tok)
-            if self.peek() == "/":
+            self.integer(name, at)
+            if self.peek()[0] == "/":
                 self.next()
-                den = self.expect_int("denominator", maximum=_DIGIT_LIMIT - 1)
-                if den == 0:
-                    self.fail("zero denominator", tok)
-                value = Fraction(value, den)
-            return (0,) * n, CyclotomicNumber.from_rational(value, modulus)
-        if kind == "NAME":
-            if name == "w":
-                self.expect("(")
-                order = self.expect_int("root order")
-                self.expect(",")
-                power = self.expect_int("root power", maximum=10**18)
-                self.expect(")")
-                if order < 1 or modulus % order != 0:
-                    self.fail(
-                        f"root order {order} does not divide the matrix "
-                        f"order {modulus}", tok)
-                return (0,) * n, root_of_unity(order, power, modulus)
-            if name.startswith("L") and name[1:].isdigit():
-                j = self.integer(name[1:], tok)
-                if not 1 <= j <= spec.m:
-                    self.fail(f"block index L{j} out of range 1..{spec.m}", tok)
-                return (0,) * n, spec.blocks[j - 1].eigenvalue(modulus)
-            if name.startswith("x") and name[1:].isdigit():
-                j = self.integer(name[1:], tok)
-                if not 1 <= j <= n:
-                    self.fail(f"variable x{j} out of range 1..{n}", tok)
-                return (0,) * (j - 1) + (1,) + (0,) * (n - j), None
-        self.fail(f"expected a coefficient or variable, found "
-                  f"{name or 'end of input'}", tok)
+                if self.expect_int("denominator", maximum=_DIGIT_LIMIT - 1) == 0:
+                    self.fail("zero denominator", at)
+        elif name == "w":
+            self.expect("(")
+            order = self.expect_int("root order")
+            self.expect(",")
+            self.expect_int("root power", maximum=_MAX_ROOT_POWER)
+            self.expect(")")
+            if order < 1 or self.modulus % order != 0:
+                self.fail(f"root order {order} does not divide the matrix "
+                          f"order {self.modulus}", at)
+        elif name[:1] in ("L", "x") and name[1:].isdigit():
+            j, spec = self.integer(name[1:], at), self.spec
+            if name[0] == "x" and not 1 <= j <= spec.n:
+                self.fail(f"variable x{j} out of range 1..{spec.n}", at)
+            if name[0] == "L" and not 1 <= j <= spec.m:
+                self.fail(f"block index L{j} out of range 1..{spec.m}", at)
+        else:
+            self.fail(f"expected a coefficient or variable, found "
+                      f"{name or 'end of input'}", at)
+        if self.peek()[0] == "^":
+            self.next()
+            self.expect_int("exponent")
+        raise AssertionError(f"no error in the factor at offset {offset}")
 
 
 def parse_germ(text: str) -> GermDocument:

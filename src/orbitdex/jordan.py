@@ -25,7 +25,7 @@ MAX_EXPONENT = 10**6  # sanity bound on exponents accepted from inputs
 MAX_MODULUS = 2048
 # Bound on the dimension n = sum of block sizes: every monomial is an
 # n-tuple and a germ has about n terms, so the work of one command grows
-# like n^2; at the bound, realize on one block takes about 5 s.
+# like n^2; at the bound, realize on one block takes about 2 s.
 MAX_DIMENSION = 2048
 
 

@@ -16,6 +16,18 @@ Q_d with d <= top because trunc_d o trunc_top = trunc_d; top starts at 8
 and doubles, with the echelon rebuilt, whenever d reaches it without a
 repeat.
 
+A row x^a f_i whose lead has no pivot yet is not built at all: the
+echelon stores the pair (a, kept) of the shift key and the kept terms of
+f_i, and builds the row only when a later row reduces against it.  This
+is exact.  The key is additive and order-preserving below its width
+(below) and the cut never drops the lead, so the row leads at lead_i + a
+with no search.  An uncut shift has the coefficients of the recombined
+generator f_i, to which adoption gave an integer lead and content 1, so
+adoption would leave it as it is; a cut f_i is divided by its content
+once, for all its shifts, and keeps its integer lead.  The pivot rows
+are those that adoption makes of the rows built in full, so the pivot
+set, every Q_d, d* and certificate are unchanged.
+
 Before any lead is taken, the engine recombines its generators: the full
 rows f_1, ..., f_n go through one echelon, and its pivot rows, each led
 by its own pivot column, replace them.  They are an invertible constant
@@ -163,14 +175,31 @@ class _Echelon:
     integers (see _adopt).  Elimination is fraction-free, by
     row <- lead(pivot) * row - row[col] * pivot, with the row's content
     divided out on adoption and every few steps (Bareiss).  Rank and pivot
-    columns are scale-invariant, so the counts are those over the field."""
+    columns are scale-invariant, so the counts are those over the field.
+
+    A shifted row x^a g whose lead has no pivot yet is stored unbuilt, as
+    the pair (a, kept) of its shift key and g's kept terms, and built
+    only when a later row reduces against it (see offer)."""
 
     _STRIP_EVERY = 8
 
     def __init__(self, degree_shift: int):
         self.degree_shift = degree_shift
-        self.pivots: dict[int, dict] = {}
+        self.pivots: dict[int, dict | tuple] = {}
         self.pivot_degrees = Counter()
+
+    def offer(self, col: int, a: int, kept: dict) -> None:
+        """Insert the row x^a g, {k + a: c for k, c in kept.items()},
+        whose lead is col: kept holds the terms of a generator g below a
+        degree bound, its lead among them, with content 1.  When col has
+        no pivot the row needs no reduction, and _adopt would leave it as
+        it is (its lead is an integer and its content 1), so it is stored
+        as (a, kept)."""
+        if col in self.pivots:
+            self.insert({k + a: c for k, c in kept.items()})
+        else:
+            self.pivots[col] = (a, kept)
+            self.pivot_degrees[col >> self.degree_shift] += 1
 
     def insert(self, row: dict) -> int | None:
         """Reduce against current pivots; adopt as a new pivot row when a
@@ -188,6 +217,9 @@ class _Echelon:
                 pivots[col] = _adopt(row, col)
                 self.pivot_degrees[col >> self.degree_shift] += 1
                 return col
+            if type(prow) is tuple:
+                a, kept = prow
+                prow = pivots[col] = {k + a: c for k, c in kept.items()}
             factor = row.pop(col)
             steps += 1
             lead = prow[col]
@@ -351,17 +383,22 @@ def _stabilize(coords, nvars: int, cap: int,
         """Insert trunc_top(x^a f_i) for every |a| = step - 1 - o_i, so
         each row inserted at this step has order exactly step - 1, except
         when the lead of an earlier f_j divides x^a (the Koszul
-        criterion of the module docstring)."""
+        criterion of the module docstring).  A cut f_i is divided by its
+        content once, for all its shifts: the echelon's rows are then
+        the same up to scale, and its pivot rows the same."""
+        offer = run.echelon.offer
         for i, (lead, terms) in enumerate(basis.items()):
             degree = step - 1 - (lead >> shift)
             if degree < 0:
                 continue
             first = first_divisor(degree)
             limit = (run.top - degree) << shift
-            kept = [(k, c) for k, c in terms.items() if k < limit]
+            kept = {k: c for k, c in terms.items() if k < limit}
+            if len(kept) < len(terms):
+                _strip_content(kept)
             for a in multipliers(degree):
                 if first.get(a, i) >= i:
-                    run.echelon.insert({k + a: c for k, c in kept})
+                    offer(lead + a, a, kept)
 
     run = _Run(min(cap + 1, 8), shift)
     dims: list[int] = []

@@ -15,6 +15,7 @@ receiver).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 
 from .cyclotomic import CyclotomicNumber, join_terms
 
@@ -229,10 +230,22 @@ class Poly:
 
     def monomial_content(self) -> Monomial:
         """Per-variable minimum exponent over all terms (the largest
-        monomial dividing the polynomial); all zeros for the zero poly."""
-        if not self.terms:
+        monomial dividing the polynomial); all zeros for the zero poly.
+        Only a variable of the first term can divide every term, so the
+        other terms are read at those variables only."""
+        monos = iter(self.terms)
+        first = next(monos, ())
+        content = {v: first[v] for v in compress(range(self.nvars), first)}
+        for mono in monos:
+            if not content:
+                break
+            content = {v: min(e, mono[v]) for v, e in content.items() if mono[v]}
+        if not content:
             return (0,) * self.nvars
-        return tuple(map(min, zip(*self.terms)))
+        out = [0] * self.nvars
+        for v, e in content.items():
+            out[v] = e
+        return tuple(out)
 
     def divide_monomial(self, mono) -> Poly:
         """Exact division by x^mono; every term must be divisible."""
@@ -258,15 +271,25 @@ class Poly:
         return self._wrap(out, len(keep))
 
     def rename_vars(self, new_index, new_nvars: int) -> Poly:
-        """Reindex variables: old variable j becomes new_index[j]."""
+        """Reindex variables: old variable j becomes new_index[j], read
+        at the nonzero exponents only; terms that meet are added."""
         out = {}
+        old = range(self.nvars)
         for m, c in self.terms.items():
             mono = [0] * new_nvars
-            for j, e in enumerate(m):
-                if e:
-                    mono[new_index[j]] += e
-            out[tuple(mono)] = c
-        return Poly(new_nvars, self.modulus, out)
+            for j in compress(old, m):
+                mono[new_index[j]] += m[j]
+            mono = tuple(mono)
+            prev = out.get(mono)
+            if prev is None:
+                out[mono] = c
+            else:
+                total = prev + c
+                if total:
+                    out[mono] = total
+                else:
+                    del out[mono]
+        return self._wrap(out, new_nvars)
 
     def substitute(self, values, trunc: int | None = None,
                    term_limit: int = DEFAULT_TERM_LIMIT) -> Poly:

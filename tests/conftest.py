@@ -1,22 +1,25 @@
-"""Shared helpers: fixture discovery, seeded random samplers, two
-test-only views of the multiplicity engine (the Cronin product and one
-truncated quotient dimension, the latter through a reference echelon
-keyed by exponent tuples), a decoder of the engine's packed monomial
-keys, a reference germ-term evaluator built on Poly arithmetic, the
+"""Shared helpers: fixture discovery, seeded random samplers, two test-only
+views of the multiplicity engine (the Cronin product and one truncated
+quotient dimension, the latter through a reference echelon keyed by
+exponent tuples), a decoder of the engine's packed monomial keys, a
+reference germ-term evaluator built on Poly arithmetic, the
 character-at-a-time .germ tokenizer that the regex tokenizer replaced,
-the per-writer term formatters that CyclotomicNumber.terms and
-join_terms replaced, the extended-Euclid inverse over Fractions that
-the integer Galois-adjugate inverse replaced, and the dense Jordan and
-linear-part matrices with the two-walk normal-form check and eigenvalue
-strip that the one-walk validate_rnf replaced, Poly.constant_term, and
-the recursive _mult, which peeled one single-variable coordinate per
-call, that the one-pass peel and the reduction loop replaced."""
+the whole-text token list and the recursive-descent coordinate reader
+that the token reader and the factor regex replaced, the per-writer term
+formatters that CyclotomicNumber.terms and join_terms replaced, the
+extended-Euclid inverse over Fractions that the integer Galois-adjugate
+inverse replaced, and the dense Jordan and linear-part matrices with the
+two-walk normal-form check and eigenvalue strip that the one-walk
+validate_rnf replaced, Poly.constant_term, and the recursive _mult,
+which peeled one single-variable coordinate per call, that the one-pass
+peel and the reduction loop replaced."""
 
 from __future__ import annotations
 
 import heapq
 import itertools
 import math
+import operator
 import random
 import string
 from collections import Counter
@@ -26,7 +29,8 @@ from pathlib import Path
 
 import pytest
 
-from orbitdex import GermMap, GermParseError, JordanSpec, Poly, parse_germ
+from orbitdex import (GermMap, GermParseError, JordanSpec, Poly, germfile,
+                      parse_germ)
 from orbitdex.cyclotomic import (CyclotomicNumber, cyclotomic_polynomial,
                                  root_of_unity)
 from orbitdex.multiplicity import (_ELIM_TERM_BUDGET, DEFAULT_DEGREE_CAP,
@@ -34,7 +38,7 @@ from orbitdex.multiplicity import (_ELIM_TERM_BUDGET, DEFAULT_DEGREE_CAP,
                                    _adopt, _check_square, _Context,
                                    _integral_rows, _lowest_isolated,
                                    _stabilize, _strip_content)
-from orbitdex.jordan import global_order
+from orbitdex.jordan import MAX_EXPONENT, global_order
 from orbitdex.polynomials import grevlex_key
 from orbitdex.resonance import (NormalFormVerdict, ResonanceContext,
                                 is_resonant_monomial)
@@ -285,6 +289,147 @@ def reference_tokenize(text: str) -> list[tuple[str, str, int, int]]:
         raise GermParseError(f"unexpected character {ch!r}", line, col)
     tokens.append(("EOF", "", line, col))
     return tokens
+
+
+def tokenize(text: str) -> list[tuple[str, str, int, int]]:
+    """(kind, text, offset, end) of every .germ token, read one at a time
+    by the parser's token reader."""
+    tokens, offset = [], 0
+    while True:
+        tokens.append(germfile._token_at(text, offset))
+        if tokens[-1][0] == "EOF":
+            return tokens
+        offset = tokens[-1][3]
+
+
+class ReferenceParser(germfile._Parser):
+    """The parser with the recursive descent over tokens that the factor
+    regex replaced: the whole text is tokenized first, and a coordinate
+    is read by expr, term, atom and primary, one method call per token,
+    each term built as an n-tuple and a CyclotomicNumber per factor, and
+    every coefficient of the coordinate checked once it is read."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = tokenize(text)
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def next(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def coordinate(self):
+        poly = self.expr()
+        self.expect(";")
+        return poly.terms, list(poly.terms)
+
+    def expr(self) -> Poly:
+        terms: dict[tuple, CyclotomicNumber] = {}
+        one = CyclotomicNumber.one(self.modulus)
+        sign = 1
+        kind = self.peek()[0]
+        if kind in "+-":
+            self.next()
+            sign = -1 if kind == "-" else 1
+        while True:
+            mono, c = self.term()
+            if c is None:
+                c = one
+            if c:
+                if sign < 0:
+                    c = -c
+                prev = terms.get(mono)
+                total = c if prev is None else prev + c
+                if total:
+                    terms[mono] = total
+                else:
+                    del terms[mono]
+            kind = self.peek()[0]
+            if kind in "+-":
+                self.next()
+                sign = -1 if kind == "-" else 1
+                continue
+            return Poly(self.spec.n, self.modulus, terms)
+
+    def term(self):
+        mono, c = self.atom()
+        if c is not None:
+            self.check_coefficient(c)
+        while self.peek()[0] == "*":
+            self.next()
+            tok = self.peek()
+            factor, d = self.atom()
+            mono = tuple(map(operator.add, mono, factor))
+            top = max(mono)
+            if top > MAX_EXPONENT:
+                self.fail(f"exponent {top} exceeds the supported bound "
+                          f"{MAX_EXPONENT}", tok[2])
+            if d is not None:
+                c = d if c is None else c * d
+                self.check_coefficient(c)
+        return mono, c
+
+    def atom(self):
+        mono, c = self.primary()
+        if self.peek()[0] == "^":
+            self.next()
+            exponent = self.expect_int("exponent")
+            mono = tuple(e * exponent for e in mono)
+            if c is not None:
+                if c.is_rational() and exponent * (
+                        max(abs(c.num[0]), c.den).bit_length() - 1
+                ) >= germfile._LIMIT_BITS:
+                    self.refuse_digits()
+                c = c ** exponent
+        return mono, c
+
+    def primary(self):
+        spec, modulus = self.spec, self.modulus
+        n = spec.n
+        tok = self.next()
+        kind, name, at, _ = tok
+        if kind == "INT":
+            value = self.integer(name, at)
+            if self.peek()[0] == "/":
+                self.next()
+                den = self.expect_int("denominator",
+                                      maximum=germfile._DIGIT_LIMIT - 1)
+                if den == 0:
+                    self.fail("zero denominator", at)
+                value = Fraction(value, den)
+            return (0,) * n, CyclotomicNumber.from_rational(value, modulus)
+        if kind == "NAME":
+            if name == "w":
+                self.expect("(")
+                order = self.expect_int("root order")
+                self.expect(",")
+                power = self.expect_int("root power", maximum=10**18)
+                self.expect(")")
+                if order < 1 or modulus % order != 0:
+                    self.fail(
+                        f"root order {order} does not divide the matrix "
+                        f"order {modulus}", at)
+                return (0,) * n, root_of_unity(order, power, modulus)
+            if name.startswith("L") and name[1:].isdigit():
+                j = self.integer(name[1:], at)
+                if not 1 <= j <= spec.m:
+                    self.fail(f"block index L{j} out of range 1..{spec.m}", at)
+                return (0,) * n, spec.blocks[j - 1].eigenvalue(modulus)
+            if name.startswith("x") and name[1:].isdigit():
+                j = self.integer(name[1:], at)
+                if not 1 <= j <= n:
+                    self.fail(f"variable x{j} out of range 1..{n}", at)
+                return (0,) * (j - 1) + (1,) + (0,) * (n - j), None
+        self.fail(f"expected a coefficient or variable, found "
+                  f"{name or 'end of input'}", at)
+
+
+def reference_parse_germ(text: str):
+    return ReferenceParser(text).document()
 
 
 def reference_cyclotomic_str(self) -> str:

@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 from orbitdex import (GermDocument, GermMap, GermParseError, JordanBlock,
                       JordanSpec, Poly, parse_germ, print_germ)
 from orbitdex.cyclotomic import CyclotomicNumber, euler_phi, root_of_unity
-from orbitdex.germfile import _format_polynomial, _position, _tokenize
+from orbitdex.germfile import _format_polynomial, _position
 from orbitdex.jordan import MAX_DIMENSION, global_order
 from conftest import (constant_term, jordan_matrix, linear_part, load_fixtures,
                       poly_of_terms, reference_cyclotomic_str,
-                      reference_format_polynomial, reference_tokenize)
+                      reference_format_polynomial, reference_parse_germ,
+                      reference_tokenize, tokenize)
 
 CANONICAL = """\
 matrix {
@@ -246,6 +247,86 @@ def test_parsed_terms_match_poly_arithmetic(case):
     assert list(doc.gmap.coords) == want
 
 
+# -- the factor reader against the recursive-descent reference --------------
+
+# What may sit between two tokens: nothing, blanks, and comments, one of
+# them holding the separators ';' and '*' and a whole factor
+_GAPS = ["", "", " ", "  ", "\n", "\t", "\r\n", " # x1; 2*x2 ^ 3\n",
+         "#;*\n", "\n  # w(4,1)*L1 - f2 = ;\n  "]
+_TEXT_TOKEN = re.compile(r"[0-9]+|[A-Za-z_][A-Za-z_0-9]*|\S")
+
+
+def _parse_outcome(parse, text):
+    """The document as matrix, modulus and each coordinate's terms in
+    order, or the message and position of the parse error."""
+    try:
+        doc = parse(text)
+    except GermParseError as exc:
+        return str(exc), exc.line, exc.col
+    return doc.matrix, doc.modulus, [list(p.terms.items())
+                                     for p in doc.gmap.coords]
+
+
+@st.composite
+def spaced_term_documents(draw):
+    """A document of random_term_documents' coordinates, with a gap drawn
+    from _GAPS before every token of the map block."""
+    spec, modulus, coords = draw(random_term_documents())
+    matrix = "\n".join(f"block {{ size = {b.size}, order = {b.order}, "
+                       f"power = {b.power} }}" for b in spec.blocks)
+    tokens = ["map", "{"]
+    for j, terms in enumerate(coords):
+        tokens += [f"f{j + 1}", "=", *_TEXT_TOKEN.findall(_terms_text(terms)),
+                   ";"]
+    tokens.append("}")
+    rnd = draw(st.randoms(use_true_random=False))
+    body = "".join(rnd.choice(_GAPS) + tok for tok in tokens)
+    return f"matrix {{\n{matrix}\n}}\n{body}"
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(spaced_term_documents())
+def test_factor_reader_matches_the_reference_reader(text):
+    assert (_parse_outcome(parse_germ, text)
+            == _parse_outcome(reference_parse_germ, text))
+
+
+# edits that break a factor, a separator or a bound, or only move tokens
+_EDITS = ["", " ", "\n", "#;\n", "*", "+", "-", ";", "/", "^", "(", ")", ",",
+          "0", "1", "9", "x", "x1", "x9", "L", "L1", "L9", "w", "w(4,1)",
+          "w(0,1)", "w(5,1)", "1/0", "^1000001", "x1^1000000", "7^6000",
+          "9" * 4400, "x" + "1" * 4400, "f1", "}", "$"]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(spaced_term_documents(), st.lists(
+    st.tuples(st.floats(0, 1), st.integers(0, 3), st.sampled_from(_EDITS)),
+    min_size=1, max_size=3))
+def test_factor_reader_refuses_as_the_reference_reader(text, edits):
+    """A document with a few characters deleted and tokens inserted,
+    mostly inside the map block: both readers give the same document or
+    the same message at the same line and column."""
+    start = text.index("map")
+    for where, deleted, inserted in edits:
+        at = start + int(where * (len(text) - start))
+        text = text[:at] + inserted + text[at + deleted:]
+    assert (_parse_outcome(parse_germ, text)
+            == _parse_outcome(reference_parse_germ, text))
+
+
+def test_a_bad_character_is_refused_before_any_other_error():
+    """A character that no token can hold is refused wherever it stands,
+    as when the whole text was tokenized before it was read."""
+    text = ("matrix { block { size = 1, order = 2, power = 1 } }\n"
+            "map { f1 = L1*x9 + 7^6000*x1; }  $\n")
+    with pytest.raises(GermParseError,
+                       match=r"unexpected character '\$'") as exc:
+        parse_germ(text)
+    assert (exc.value.line, exc.value.col) == (2, 34)
+    assert (_parse_outcome(parse_germ, text)
+            == _parse_outcome(reference_parse_germ, text))
+
+
 # -- parser fuzzing: whatever the text, the only failure is GermParseError ----
 
 _CANONICAL_TOKENS = re.findall(r"\w+|\S", CANONICAL)
@@ -416,7 +497,7 @@ def _tokens_or_error(tokenize, text):
 
 def _positioned_tokens(text):
     return [(kind, token, *_position(text, offset))
-            for kind, token, offset in _tokenize(text)]
+            for kind, token, offset, _ in tokenize(text)]
 
 
 @settings(max_examples=400, deadline=None)

@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 from orbitdex import (GermMap, NotIsolatedWithinBound, Poly, multiplicity,
                       parse_germ)
 from orbitdex.cyclotomic import root_of_unity
-from orbitdex.multiplicity import (_integral_rows, _lowest_isolated,
-                                   _multipliers, _packer, _stabilize)
+from orbitdex.multiplicity import (_adopt, _Echelon, _integral_rows,
+                                   _lowest_isolated, _multipliers, _packer,
+                                   _recombined, _stabilize, _strip_content)
 from orbitdex.polynomials import grevlex_key, variables
 from conftest import (ReferenceEchelon, cronin, random_isolated_system,
                       random_poly, reference_multiplicity,
@@ -720,10 +721,10 @@ def _recombined_leads(f: GermMap) -> list[tuple[int, ...]]:
 
 
 def test_engine_builds_only_rows_that_can_change_q_d(monkeypatch):
-    """Step d inserts only rows x^a f_i of order d - 1, none with a term
-    at degree 8 or above (the first degree bound; d* < 8 here), and of
-    those exactly the ones whose x^a no earlier lead divides, the f_i
-    being the recombined generators.  The second system's coordinates
+    """Step d offers the echelon only rows x^a f_i of order d - 1, none
+    with a term at degree 8 or above (the first degree bound; d* < 8
+    here), and of those exactly the ones whose x^a no earlier lead
+    divides, the f_i being the recombined generators.  The second system's coordinates
     share their lead x^2, which the recombination removes."""
     engine = importlib.import_module("orbitdex.multiplicity")
     steps, layout = [], _spied_packer(monkeypatch)
@@ -734,9 +735,10 @@ def test_engine_builds_only_rows_that_can_change_q_d(monkeypatch):
             self.rows = []
             steps.append([])
 
-        def insert(self, row):
-            self.rows.append(_decoded(row, self, layout))
-            return super().insert(row)
+        def offer(self, col, a, kept):
+            self.rows.append(_decoded({k + a: c for k, c in kept.items()},
+                                      self, layout))
+            return super().offer(col, a, kept)
 
         def pivots_below(self, degree):
             steps[-1].append((degree, self.rows))
@@ -773,6 +775,64 @@ def test_engine_builds_only_rows_that_can_change_q_d(monkeypatch):
         skipped_in_all += skipped
         assert sum(len(rows) for _, rows in steps[-1]) == built - skipped
     assert skipped_in_all > 0
+
+
+@pytest.mark.parametrize("top", [None, 3])
+@pytest.mark.parametrize("modulus", [1, 4])
+def test_row_stored_unbuilt_builds_as_the_adopted_eager_row(modulus, top):
+    """A shift x^a g of a recombined generator g whose lead has no pivot
+    is stored unbuilt; once a later row reduces against it, it is built,
+    and equals _adopt of the row built eagerly from g's terms, uncut
+    (top None) and cut below degree 3, where the kept terms of both
+    generators have content 2 and 3 over Q and Q(zeta_4) alike."""
+    x, y = variables(2, modulus)
+    i = root_of_unity(4, 1, 4) if modulus == 4 else 1
+    f = system(2 * x**2 + x * y * 4 * i + 3 * y**3, y**2 * 3 * i + 5 * x**3)
+    pack, shift = _packer(2, 16)
+    basis = _recombined(_integral_rows(f.coords), pack, shift, 16, None)
+    a = pack((1, 2))
+    contents = []
+    for lead, terms in basis.items():
+        eager = {k: c for k, c in terms.items()
+                 if top is None or k >> shift < top}
+        kept = dict(eager)
+        if len(kept) < len(terms):
+            _strip_content(kept)
+        # both leads are integers, as ints or den-1 CyclotomicNumbers
+        lead_of = [c if isinstance(c, int) else c.num[0]
+                   for c in (eager[lead], kept[lead])]
+        contents.append(lead_of[0] // lead_of[1])
+        echelon = _Echelon(shift)
+        echelon.offer(lead + a, a, kept)
+        assert echelon.pivots[lead + a] == (a, kept)
+        assert echelon.insert({k + a: c for k, c in kept.items()}) is None
+        assert echelon.pivots[lead + a] == _adopt(
+            {k + a: c for k, c in eager.items()}, lead + a)
+    assert contents == ([1, 1] if top is None else [2, 3])
+
+
+def test_engine_offers_rows_with_content_1_and_an_integer_lead(monkeypatch):
+    """Every row the engine offers, cut or not, is stored as it would be
+    adopted: its kept terms have content 1 and its lead an integer entry,
+    over Q and Q(zeta_M), on systems that pass the first degree bound."""
+    engine = importlib.import_module("orbitdex.multiplicity")
+    offered = []
+
+    class Checked(engine._Echelon):
+        def offer(self, col, a, kept):
+            lead = kept[col - a]
+            assert isinstance(lead, int) or lead.is_rational()
+            primitive = dict(kept)
+            _strip_content(primitive)
+            assert primitive == kept
+            offered.append(len(kept))
+            return super().offer(col, a, kept)
+
+    monkeypatch.setattr(engine, "_Echelon", Checked)
+    for f in _restarting_systems():
+        for g in (f, f.embed(4)) if f.modulus == 1 else (f,):
+            multiplicity(g)
+    assert offered
 
 
 @pytest.mark.parametrize("modulus", [1, 3, 4, 6, 12])

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -200,3 +202,37 @@ def test_restrict_vars_sets_the_rest_to_zero():
     assert p.restrict_vars([]) == Poly.zero(0)
     with pytest.raises(ValueError):  # the result keeps its two variables
         p.restrict_vars([0, 2]) + x1
+
+
+@st.composite
+def sparse_polys(draw):
+    """A polynomial in up to 40 variables with a few terms, each of a few
+    variables, often sharing a variable factor."""
+    nvars = draw(st.integers(1, 40))
+    shared = draw(st.lists(st.integers(0, nvars - 1), max_size=2))
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        mono = [0] * nvars
+        for v in shared + draw(st.lists(st.integers(0, nvars - 1), max_size=3)):
+            mono[v] += draw(st.integers(1, 3))
+        terms[tuple(mono)] = draw(st.sampled_from([1, -1, 2, Fraction(1, 3)]))
+    return Poly(nvars, 1, terms)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(sparse_polys(), st.data())
+def test_content_and_renaming_read_the_support(p, data):
+    """monomial_content is the per-variable minimum over all terms, and
+    rename_vars is the substitution x_j -> x_(new_index[j]), also when
+    two variables go to one and terms merge or cancel."""
+    n = p.nvars
+    assert p.monomial_content() == (
+        tuple(map(min, zip(*p.terms))) if p.terms else (0,) * n)
+    new_nvars = data.draw(st.integers(1, n))
+    new_index = data.draw(st.lists(st.integers(0, new_nvars - 1),
+                                   min_size=n, max_size=n))
+    values = [Poly.variable(i, new_nvars) for i in new_index]
+    want = p.substitute(values)
+    got = p.rename_vars(new_index, new_nvars)
+    assert got == want and got.nvars == new_nvars
+    assert all(got.terms.values())
