@@ -158,7 +158,7 @@ def _cmd_spectrum(args, rep: _Reporter) -> int:
         sp = orbit_spectrum(doc.matrix, doc.gmap,
                             cross_check=not args.no_cross_check,
                             degree_cap=args.degree_cap)
-    except (NotIsolatedWithinBound, ValueError, ConsistencyError) as exc:
+    except (NotIsolatedWithinBound, ValueError) as exc:
         return _fail(rep, str(exc))
     rep.say("pe: " + " ".join(str(q) for q in sp.pe))
     rep.say("counts: " + " ".join(f"{q}:{v}" for q, v in sorted(sp.counts.items())))

@@ -441,7 +441,7 @@ def parse_germ(text: str) -> GermDocument:
 def _format_polynomial(poly: Poly, spec: JordanSpec, coord: int) -> str:
     block = spec.block_of(coord)
     lam = spec.blocks[block].eigenvalue(poly.modulus)
-    own_linear = tuple(1 if j == coord else 0 for j in range(poly.nvars))
+    own_linear = (0,) * coord + (1,) + (0,) * (poly.nvars - coord - 1)
     pieces = []
     for mono, coeff in poly.sorted_terms():
         if mono == own_linear and coeff == lam:

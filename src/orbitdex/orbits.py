@@ -22,9 +22,10 @@ solve_counts_triangular inverts independently as a cross-check.  The
 per-period division route checks each count at q >= 2 once more: on the
 projected map of the period part of q, dividing the block-end
 coordinates of the essential blocks by their lead variables leaves a map
-whose zero order is q times the count at q.  Direct composition checks
-q = 1, where it is just f - id, and is the fallback for a small q that
-the division route does not cover.
+whose zero order is q times the count at q.  _division_order alone holds
+that rule, and returns the order or the reason it does not apply.
+Direct composition checks q = 1, where it is just f - id, and is the
+fallback for a small q that the division route does not cover.
 """
 
 from __future__ import annotations
@@ -38,8 +39,7 @@ from .jordan import JordanSpec, period_blocks, period_set
 from .multiplicity import (DEFAULT_DEGREE_CAP, NotIsolatedWithinBound,
                            multiplicity)
 from .polynomials import GermMap, TermBudgetExceeded
-from .resonance import (divide_by_leads, find_essential_blocks,
-                        lead_variable_shape_ok, project, validate_rnf)
+from .resonance import project, validate_rnf
 
 
 # Direct composition is the cross-check's fallback for iterates q up to
@@ -183,23 +183,43 @@ def solve_counts_triangular(spec: JordanSpec, part_orders: dict[int, int]) -> di
 
 def _division_order(part: _PeriodPart, degree_cap: int) -> int | str:
     """q times the count at q by the per-period division route, or why
-    the route does not apply: "no witness", "shape", "divisibility" or
-    "not isolated".
+    the route does not apply.
 
     part is the period part of a q in the period set, so its blocks have
-    lcm q.
+    lcm q.  The witness is the set of essential blocks, those whose order
+    does not divide the lcm of the other orders.  A selection of blocks
+    with lcm q must hold every such block (without it the lcm divides
+    that of the others), so this set is the only selection of essential
+    blocks that can qualify; if its lcm is not q, the route refuses with
+    "no witness".  Then every term of every block-end coordinate must use
+    lead variables only ("shape"), and the block-end coordinate of each
+    witness block must be a multiple of its lead variable other than that
+    variable itself, which would leave a constant ("divisibility").  The
+    zero order of the map with those coordinates divided by their lead
+    variables is the value, if it is certified ("not isolated").
     """
-    witness = find_essential_blocks(part.spec)
-    if witness is None:
+    spec, orders = part.spec, part.spec.orders()
+    witness = [j for j, d in enumerate(orders)
+               if math.lcm(*orders[:j], *orders[j + 1:]) % d]
+    if not witness or (math.lcm(*(orders[j] for j in witness))
+                       != math.lcm(*orders)):
         return "no witness"
-    if not lead_variable_shape_ok(part.spec, part.gmap):
+    coords = list(part.gmap.coords)
+    leads = {spec.lead_coord(j) for j in range(spec.m)}
+    if any(e and k not in leads for j in range(spec.m)
+           for mono in coords[spec.block_end(j)].terms
+           for k, e in enumerate(mono)):
         return "shape"
+    for j in witness:
+        end, lead = spec.block_end(j), spec.lead_coord(j)
+        unit = (0,) * lead + (1,) + (0,) * (spec.n - lead - 1)
+        if any(not m[lead] or m == unit for m in coords[end].terms):
+            return "divisibility"
+        coords[end] = coords[end].divide_monomial(unit)
     try:
-        divided = divide_by_leads(part.spec, part.gmap, witness)
-    except ValueError:
-        return "divisibility"
-    try:
-        return multiplicity(divided, degree_cap).value
+        return multiplicity(GermMap(coords, nvars=spec.n,
+                                    modulus=part.gmap.modulus),
+                            degree_cap).value
     except NotIsolatedWithinBound:
         return "not isolated"
 

@@ -36,8 +36,8 @@ def grevlex_key(mono: Monomial):
 
 def monomial_factors(mono: Monomial) -> list[str]:
     """The variables of a monomial as factors: ["x1", "x2^3", ...]."""
-    return [f"x{j + 1}" if e == 1 else f"x{j + 1}^{e}"
-            for j, e in enumerate(mono) if e]
+    return [f"x{j + 1}" if mono[j] == 1 else f"x{j + 1}^{mono[j]}"
+            for j in compress(range(len(mono)), mono)]
 
 
 def _coerce_coeff(value, modulus: int) -> CyclotomicNumber:

@@ -1,5 +1,5 @@
-"""Resonance of monomials, normal-form validation, and the two coordinate
-surgeries the index computations run on.
+"""Resonance of monomials, normal-form validation, and the one coordinate
+surgery the index computations run on.
 
 For a Jordan matrix with eigenvalues zeta_M^rho(j) per coordinate, a
 monomial x^e of degree >= 2 aimed at coordinate s is resonant when
@@ -10,9 +10,8 @@ nonlinear term is resonant.
 validate_rnf decides the normal form and yields the eigenvalue-stripped
 map (f without its diagonal terms lambda_j x_j); project cuts a map down
 to the coordinates it is given (in the index routes, those of the period
-part of q); divide_by_leads divides designated block-end coordinates by
-their block's lead variable, which is what turns full-period orbit
-counts into a single multiplicity.
+part of q).  The division route's own surgery, dividing block-end
+coordinates by their lead variables, lives in orbits._division_order.
 """
 
 from __future__ import annotations
@@ -105,7 +104,7 @@ def validate_rnf(spec: JordanSpec, f: GermMap) -> NormalFormVerdict:
             linear_bad.extend((coord, var) for var in sorted(want | got)
                               if got.get(var) != want.get(var))
             nonres.extend((coord, mono) for mono in sorted(bad))
-            coords.append(Poly(f.nvars, f.modulus, kept))
+            coords.append(Poly(f.nvars, f.modulus)._wrap(kept))
     return NormalFormVerdict(
         ok=not linear_bad and not nonres,
         linear_mismatch=tuple(linear_bad),
@@ -121,65 +120,3 @@ def project(g: GermMap, keep: list[int]) -> GermMap:
     increasing order.  An empty keep yields the empty (0-variable) germ."""
     coords = [g.coords[j].restrict_vars(keep) for j in keep]
     return GermMap(coords, nvars=len(keep), modulus=g.modulus)
-
-
-def find_essential_blocks(spec: JordanSpec) -> tuple[int, ...] | None:
-    """The block indices whose order fails to divide the lcm of all the
-    *other* block orders, when their orders have lcm equal to the global
-    order; None otherwise.
-
-    That property belongs to each block alone, and a selection whose lcm
-    is the global order must contain every such block, so this set is
-    the only selection of essential blocks that can qualify.
-    """
-    orders = spec.orders()
-    essential = []
-    for j, d in enumerate(orders):
-        rest = math.lcm(*orders[:j], *orders[j + 1:])
-        if rest % d:
-            essential.append(j)
-    reached = math.lcm(*(orders[j] for j in essential))
-    if not essential or reached != global_order(spec):
-        return None
-    return tuple(essential)
-
-
-def lead_variable_shape_ok(spec: JordanSpec, stripped: GermMap) -> bool:
-    """Whether every term of every block-end coordinate of the stripped
-    map uses only block lead variables."""
-    leads = {spec.lead_coord(j) for j in range(spec.m)}
-    for j in range(spec.m):
-        p = stripped.coords[spec.block_end(j)]
-        for mono in p.terms:
-            if any(e and k not in leads for k, e in enumerate(mono)):
-                return False
-    return True
-
-
-def divide_by_leads(spec: JordanSpec, stripped: GermMap,
-                    witness: tuple[int, ...]) -> GermMap:
-    """Divide the block-end coordinate of each witness block by that
-    block's lead variable; other coordinates are kept.  A coordinate that
-    is not divisible raises ValueError.
-
-    Preconditions, which the caller checks: stripped is the
-    eigenvalue-stripped map of a germ in resonant normal form on spec's
-    n variables, witness is a non-empty tuple of block indices (as
-    find_essential_blocks returns), and lead_variable_shape_ok(spec,
-    stripped) holds.
-    """
-    coords = list(stripped.coords)
-    n = spec.n
-    for j in witness:
-        end = spec.block_end(j)
-        lead = spec.lead_coord(j)
-        mono = tuple(1 if k == lead else 0 for k in range(n))
-        p = coords[end]
-        try:
-            coords[end] = p.divide_monomial(mono)
-        except ValueError:
-            raise ValueError(
-                f"coordinate {end + 1} is not divisible by its lead "
-                f"variable x{lead + 1}"
-            ) from None
-    return GermMap(coords, nvars=n, modulus=stripped.modulus)

@@ -337,7 +337,7 @@ def realize(spec: JordanSpec, target: SequenceTarget,
         germ = chain_coprime_germ(ordered_spec, params, cross)
     germ = _permute_germ(germ, spec, ordered_spec, ordering)
     # refuse a germ the parser would refuse to read back
-    top = max(e for p in germ.coords for m in p.terms for e in m)
+    top = max(max(m) for p in germ.coords for m in p.terms)
     if top > MAX_EXPONENT:
         raise ValueError(f"the constructed germ needs exponent {top}, which "
                          f"exceeds the supported bound {MAX_EXPONENT}")

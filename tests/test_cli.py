@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from orbitdex import ConsistencyError, cli, parse_germ, resonance
+from orbitdex import ConsistencyError, cli, orbits, parse_germ, resonance
 from orbitdex.cli import main
 from orbitdex.jordan import MAX_DIMENSION
 from conftest import fixture_dir
@@ -531,6 +531,20 @@ def test_consistency_error_prints_a_payload(capsys, monkeypatch):
         "reason": "constructed germ realizes {1: 2}, wanted {1: 1}"}
     assert err == ("internal consistency error: constructed germ realizes "
                    "{1: 2}, wanted {1: 1}\n")
+
+
+def test_spectrum_consistency_error_prints_a_payload(capsys, monkeypatch,
+                                                    worked):
+    # an engine bug is reported as one, not as a FAIL of the germ
+    monkeypatch.setattr(orbits, "_division_order",
+                        lambda part, degree_cap: 999)
+    reason = "division route gives order 999 for q=2, the counts give 2"
+    code, out, err = run(capsys, "--json", "--no-timing", "spectrum", worked)
+    assert code == 1
+    assert json.loads(out)["results"] == {"ok": False, "reason": reason}
+    assert err == f"internal consistency error: {reason}\n"
+    assert run(capsys, "spectrum", worked) == (
+        1, "", f"internal consistency error: {reason}\n")
 
 
 def test_realize_at_the_exponent_bound_parses_back(capsys, tmp_path):

@@ -1,20 +1,23 @@
+import itertools
 import math
 import time
 
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from orbitdex import (ConsistencyError, GermMap, JordanBlock, JordanSpec,
                       NotIsolatedWithinBound, Poly, direct_iterate_index,
-                      fixed_point_index, multiplicity, orbit_spectrum,
-                      parse_germ, validate_rnf)
+                      fixed_point_index, orbit_spectrum, parse_germ,
+                      validate_rnf)
 from orbitdex import orbits
 from orbitdex.cli import main
 from orbitdex.jordan import period_blocks
-from orbitdex.orbits import prime_factors, solve_counts_triangular
+from orbitdex.multiplicity import DEFAULT_DEGREE_CAP
+from orbitdex.orbits import (_division_order, _PeriodPart, prime_factors,
+                             solve_counts_triangular)
 from orbitdex.polynomials import variables
-from orbitdex.resonance import divide_by_leads, find_essential_blocks, project
+from orbitdex.resonance import project
 from orbitdex.universality import chain_coprime_germ, chain_germ
 from conftest import load_fixtures
 
@@ -176,8 +179,8 @@ def test_direct_fallback_keeps_the_term_budget():
 def test_division_route_disagreement_is_a_consistency_error(monkeypatch):
     # left undivided, the projected map at q = 2 has order mu(2) = 3, not
     # 2 * count = 2
-    monkeypatch.setattr(orbits, "divide_by_leads",
-                        lambda spec, projected, witness: projected)
+    monkeypatch.setattr(orbits, "_division_order",
+                        lambda part, degree_cap: part.index)
     doc = parse_germ(WORKED)
     with pytest.raises(ConsistencyError, match="division route"):
         orbit_spectrum(doc.matrix, doc.gmap)
@@ -220,26 +223,19 @@ def test_triangular_solve_reproduces_counts_on_fixtures():
 
 
 def test_full_period_division_route_on_fixtures():
-    """Where a witness selection exists and the stripped map is in
-    lead-variable shape, dividing by the lead variables turns the full
-    count into a single multiplicity."""
+    """Where the division route applies to the whole stripped map,
+    dividing by the lead variables turns the full count into a single
+    multiplicity."""
     checked = 0
     for name, doc in load_fixtures():
         spec = doc.matrix
-        witness = find_essential_blocks(spec)
-        if witness is None:
-            continue
-        stripped = validate_rnf(spec, doc.gmap).stripped
-        from orbitdex.resonance import lead_variable_shape_ok
-        if not lead_variable_shape_ok(spec, stripped):
-            continue
-        try:
-            divided = divide_by_leads(spec, stripped, witness)
-        except ValueError:
+        part = _PeriodPart(spec, validate_rnf(spec, doc.gmap).stripped, 0)
+        order = _division_order(part, DEFAULT_DEGREE_CAP)
+        if isinstance(order, str):
             continue
         sp = orbit_spectrum(spec, doc.gmap, cross_check=False)
         m = max(sp.pe)
-        assert multiplicity(divided).value == m * sp.counts[m], name
+        assert order == m * sp.counts[m], name
         checked += 1
     assert checked >= 4
 
@@ -250,31 +246,97 @@ def _period_coords(spec, q):
 
 
 def test_division_route_per_period_part():
-    """The per-period variant: project to the period part of q, divide
-    the block-end coordinates by the lead variables there, and the order
-    of the divided system is q times the count at q."""
-    from orbitdex.resonance import lead_variable_shape_ok
+    """The per-period variant: project f to the period part of q and
+    strip that; where the division route applies, the order of the
+    divided system is q times the count at q."""
     checked = 0
     for name, doc in load_fixtures():
         spec = doc.matrix
         sp = orbit_spectrum(spec, doc.gmap, cross_check=False)
         for q in sp.pe:
-            sub_blocks = tuple(b for b in spec.blocks if q % b.order == 0)
-            sub_spec = JordanSpec(sub_blocks)
-            witness = find_essential_blocks(sub_spec)
-            if witness is None:
-                continue
+            sub_spec = JordanSpec(tuple(b for b in spec.blocks
+                                        if q % b.order == 0))
             sub_map = project(doc.gmap, _period_coords(spec, q))
-            stripped = validate_rnf(sub_spec, sub_map).stripped
-            if not lead_variable_shape_ok(sub_spec, stripped):
+            part = _PeriodPart(sub_spec,
+                               validate_rnf(sub_spec, sub_map).stripped, 0)
+            order = _division_order(part, DEFAULT_DEGREE_CAP)
+            if isinstance(order, str):
                 continue
-            try:
-                divided = divide_by_leads(sub_spec, stripped, witness)
-            except ValueError:
-                continue
-            assert multiplicity(divided).value == q * sp.counts[q], (name, q)
+            assert order == q * sp.counts[q], (name, q)
             checked += 1
     assert checked >= 8
+
+
+_X1, _X2 = variables(2, modulus=6)
+_Y, = variables(1, modulus=3)
+_Z1, _Z2 = variables(2, modulus=2)
+_W1, _W2, _W3 = variables(3, modulus=6)
+
+
+@pytest.mark.parametrize("blocks, coords, want", [
+    # the stripped map of WORKED: 6 times its count at q = 6
+    ([(1, 2, 1), (1, 3, 1)],
+     [_X1 * (_X1**2 + _X2**3), _X2 * (2 * _X1**2 + _X2**3)], 6),
+    # the stripped map of L1*x1 + x1^4: 3 times its count 1 at q = 3
+    ([(1, 3, 1)], [_Y**4], 3),
+    # two blocks of order 2: neither is essential
+    ([(1, 2, 1), (1, 2, 1)], [_Z1**3, _Z2**3], "no witness"),
+    # x2 is not a lead variable
+    ([(2, 2, 1)], [_Z2, _Z2**2 * _Z1], "shape"),
+    # the same on the block of order 2, which is not essential
+    ([(2, 2, 1), (1, 6, 1)], [_W1**2, _W2**3, _W3**2], "shape"),
+    # x2^3 in coordinate 1 is not a multiple of its lead x1
+    ([(1, 2, 1), (1, 3, 1)],
+     [_X2**3, _X2 * (2 * _X1**2 + _X2**3)], "divisibility"),
+    # a lead variable among the terms would leave a constant
+    ([(1, 3, 1)], [_Y + _Y**4], "divisibility"),
+    # divided, both coordinates are x2^3: the x1 axis is a zero
+    ([(1, 2, 1), (1, 3, 1)], [_X1 * _X2**3, _X2**4], "not isolated"),
+], ids=["worked", "cube", "no-witness", "shape", "shape-off-witness",
+        "not-divisible", "constant", "not-isolated"])
+def test_division_order_outcomes(blocks, coords, want):
+    spec = JordanSpec(tuple(B(*b) for b in blocks))
+    part = _PeriodPart(spec, GermMap(coords), 0)
+    assert _division_order(part, DEFAULT_DEGREE_CAP) == want
+    if want == 6:
+        doc = parse_germ(WORKED)
+        sp = orbit_spectrum(doc.matrix, doc.gmap, cross_check=False)
+        assert want == 6 * sp.counts[6]
+
+
+def _essential_blocks_by_search(orders):
+    """The subset search the witness rule replaced: smallest selections
+    first, lexicographic within a size."""
+    m = len(orders)
+    total = math.lcm(*orders)
+    for t in range(1, m + 1):
+        for combo in itertools.combinations(range(m), t):
+            if math.lcm(*(orders[j] for j in combo)) != total:
+                continue
+            if all(math.lcm(*(orders[i] for i in range(m) if i != j))
+                   % orders[j] for j in combo):
+                return combo
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 30]),
+                min_size=1, max_size=8))
+@example([2, 3])
+@example([2, 6])
+@example([2, 2])
+def test_division_witness_matches_the_subset_search(orders):
+    """With x_j^2 in every coordinate of one-variable blocks, the route
+    refuses with "no witness" exactly when the search finds no
+    selection, and otherwise divides as many coordinates as the
+    selection has blocks, so the order is 2 to the number left."""
+    spec = JordanSpec(tuple(B(1, d, 1) for d in orders))
+    part = _PeriodPart(spec, GermMap([x**2 for x in variables(len(orders))]),
+                       0)
+    witness = _essential_blocks_by_search(orders)
+    want = ("no witness" if witness is None
+            else 2 ** (len(orders) - len(witness)))
+    assert _division_order(part, DEFAULT_DEGREE_CAP) == want
 
 
 def test_consistency_error_for_malformed_counts():

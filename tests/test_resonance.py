@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import pytest
@@ -9,9 +8,8 @@ from orbitdex import (GermMap, JordanBlock, JordanSpec, Poly, global_order,
                       parse_germ, validate_rnf)
 from orbitdex.cyclotomic import root_of_unity
 from orbitdex.polynomials import variables
-from orbitdex.resonance import (ResonanceContext, divide_by_leads,
-                                find_essential_blocks, is_resonant_monomial,
-                                lead_variable_shape_ok, project)
+from orbitdex.resonance import (ResonanceContext, is_resonant_monomial,
+                                project)
 from conftest import reference_strip_eigenvalues, reference_validate_rnf
 
 B = JordanBlock
@@ -206,57 +204,3 @@ def test_project_idempotent(bits):
     once = project(g, [j for j, b in enumerate(bits) if b])
     again = project(once, list(range(once.nvars)))
     assert once == again
-
-
-def test_find_essential_blocks_examples():
-    assert find_essential_blocks(JordanSpec((B(1, 2, 1), B(1, 3, 1)))) == (0, 1)
-    assert find_essential_blocks(JordanSpec((B(1, 2, 1), B(1, 6, 1)))) == (1,)
-    assert find_essential_blocks(JordanSpec((B(1, 2, 1), B(1, 2, 1)))) is None
-
-
-def _essential_blocks_by_search(orders):
-    """The subset search find_essential_blocks replaced: smallest
-    selections first, lexicographic within a size."""
-    m = len(orders)
-    total = math.lcm(*orders)
-    for t in range(1, m + 1):
-        for combo in itertools.combinations(range(m), t):
-            if math.lcm(*(orders[j] for j in combo)) != total:
-                continue
-            if all(math.lcm(*(orders[i] for i in range(m) if i != j))
-                   % orders[j] for j in combo):
-                return combo
-    return None
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 30]),
-                min_size=1, max_size=8))
-def test_find_essential_blocks_matches_the_subset_search(orders):
-    spec = JordanSpec(tuple(B(1, d, 1) for d in orders))
-    assert find_essential_blocks(spec) == _essential_blocks_by_search(orders)
-
-
-def test_divide_by_leads_examples():
-    spec = JordanSpec((B(1, 2, 1), B(1, 3, 1)))
-    x1, x2 = variables(2, modulus=6)
-    tf = GermMap([x1 * (x1**2 + x2**3), x2 * (2 * x1**2 + x2**3)])
-    out = divide_by_leads(spec, tf, (0, 1))
-    assert out.coords == (x1**2 + x2**3, 2 * x1**2 + x2**3)
-    with pytest.raises(ValueError, match="not divisible"):
-        divide_by_leads(spec, GermMap([x2**3, x2 * (2 * x1**2 + x2**3)]), (0, 1))
-    s3 = JordanSpec((B(1, 3, 1),))
-    y, = variables(1, modulus=3)
-    assert divide_by_leads(s3, GermMap([y**4]), (0,)).coords == (y**3,)
-    # a lead variable among the terms leaves a constant, which GermMap refuses
-    with pytest.raises(ValueError, match="constant term"):
-        divide_by_leads(s3, GermMap([y + y**4]), (0,))
-
-
-def test_lead_variable_shape_rejects_a_non_lead_variable():
-    # a size-2 block: the end coordinate must use lead variables only, and
-    # divide_by_leads is called only on maps of that shape
-    spec = JordanSpec((B(2, 2, 1),))
-    x1, x2 = variables(2, modulus=2)
-    bad = GermMap([x2, x2**2 * x1])  # x2 is not a lead variable
-    assert not lead_variable_shape_ok(spec, bad)
