@@ -107,7 +107,7 @@ def _cmd_check(args, rep: _Reporter) -> int:
         full = multiplicity(verdict.stripped, args.degree_cap).value
     except NotIsolatedWithinBound as exc:
         rep.say(f"FAIL: iterate fixed points are not isolated: {exc}")
-        rep.emit({"ok": False, "reason": str(exc)})
+        rep.emit({"ok": False, "reason": str(exc), "definite": exc.definite})
         return 1
     rep.say(f"OK: resonant normal form; full-period order {full}")
     rep.emit({"ok": True, "full_order": full})
@@ -143,7 +143,9 @@ def _cmd_index(args, rep: _Reporter) -> int:
             results["direct"] = direct_iterate_index(
                 doc.gmap, args.q, degree_cap=args.degree_cap,
                 hint=results.get("projection"))
-    except (NotIsolatedWithinBound, ValueError, TermBudgetExceeded) as exc:
+    except NotIsolatedWithinBound as exc:
+        return _fail(rep, str(exc), definite=exc.definite)
+    except (ValueError, TermBudgetExceeded) as exc:
         return _fail(rep, str(exc))
     agree = len(set(results.values())) == 1
     value = next(iter(results.values()))
@@ -158,7 +160,9 @@ def _cmd_spectrum(args, rep: _Reporter) -> int:
         sp = orbit_spectrum(doc.matrix, doc.gmap,
                             cross_check=not args.no_cross_check,
                             degree_cap=args.degree_cap)
-    except (NotIsolatedWithinBound, ValueError) as exc:
+    except NotIsolatedWithinBound as exc:
+        return _fail(rep, str(exc), definite=exc.definite)
+    except ValueError as exc:
         return _fail(rep, str(exc))
     rep.say("pe: " + " ".join(str(q) for q in sp.pe))
     rep.say("counts: " + " ".join(f"{q}:{v}" for q, v in sorted(sp.counts.items())))

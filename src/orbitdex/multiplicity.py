@@ -35,8 +35,9 @@ recombination of the f_i, so they generate the same ideal I, and Q_d =
 dim K[x]/(I + m^d) depends only on I: every Q_d, d* and certificate is
 unchanged, and no two generators share a lead.  A row that reduces to
 zero leaves I with at most n - 1 generators, so its zero set is
-positive-dimensional (Krull) and Q_d never repeats; the engine reports
-the cap at once, as it would on reaching it.
+positive-dimensional (Krull) and Q_d never repeats; the engine refuses
+at once, and definitely: every reduction that led to the system is
+exact, so this proves the input not isolated too.
 
 The engine also skips every row that a trivial syzygy makes redundant
 (the Koszul criterion of Faugere's F5): it never builds x^a f_i when the
@@ -79,17 +80,20 @@ the n unit keys, sorted, so in grevlex order, built once per call.  The
 arithmetic and the pivot order are those of exponent-tuple keys.
 
 Exact closed-form reductions run first and hand the engine only small
-residual systems:
+residual systems.  They run in one loop over a stack of (factor, system)
+pairs, with no recursion, so neither the call depth nor the systems
+held grow with the number of reductions:
 
 * every coordinate that is a single variable lets that variable be set
   to zero and dropped, all of them in one pass (setting variables to zero
   commutes, so the pass equals peeling them one at a time); this, the
-  exponent gcd and the linear elimination below replace the system and
-  repeat in one loop, so neither the call depth nor the rebuilt
-  coordinates grow with the number of peels;
+  exponent gcd and the linear elimination below replace the system on
+  top of the stack;
 * a coordinate divisible by a monomial splits the count additively, one
   variable factor at a time (isolation of the product is equivalent to
-  isolation of every factor system, and the orders add);
+  isolation of every factor system, and the orders add); the branches
+  are pushed, and a quotient with a constant term is a unit, of order 0,
+  so it is dropped;
 * a common exponent gcd b_i per variable divides out, scaling the count
   by prod b_i (composition with x_i -> x_i^(b_i) multiplies orders);
 * a variable occurring linearly in one coordinate and nowhere else in it
@@ -336,15 +340,20 @@ class _Run:
         self.echelon = _Echelon(shift)
 
 
-def _recombined(rows, pack, shift: int, cap: int, witness: str | None):
+def _recombined(rows, pack, shift: int, cap: int):
     """The pivot rows of one echelon of the full rows, keyed by pack, in
-    input order, by their pivot columns, the leads; or
-    NotIsolatedWithinBound when a row reduces to zero (see the module
-    docstring)."""
+    input order, by their pivot columns, the leads; or a definite
+    NotIsolatedWithinBound when a row reduces to zero, a proof that the
+    zero set is positive-dimensional (see the module docstring)."""
     basis = _Echelon(shift)
-    for terms in rows:
+    for j, terms in enumerate(rows):
         if basis.insert({pack(m): c for m, c in terms.items()}) is None:
-            raise NotIsolatedWithinBound(cap, witness=witness, definite=False)
+            raise NotIsolatedWithinBound(
+                cap, witness=f"coordinate {j + 1} of a reduced system is a "
+                             f"constant linear combination of the ones "
+                             f"before it, so the zero set is "
+                             f"positive-dimensional",
+                definite=True)
     return basis.pivots
 
 
@@ -364,7 +373,7 @@ def _stabilize(coords, nvars: int, cap: int,
     rows = _integral_rows(coords)
     highest = max((sum(m) for terms in rows for m in terms), default=0)
     pack, shift = _packer(nvars, max(cap, highest) + 1)
-    basis = _recombined(rows, pack, shift, cap, witness)
+    basis = _recombined(rows, pack, shift, cap)
     multipliers = _multipliers(nvars, shift)
 
     @functools.cache
@@ -433,15 +442,6 @@ def _lowest_isolated(coords, nvars: int, cap: int):
         return degrees, False
 
 
-class _Context:
-    __slots__ = ("cap", "engine_used", "top_certificate")
-
-    def __init__(self, cap: int):
-        self.cap = cap
-        self.engine_used = False
-        self.top_certificate = None
-
-
 def _peel(coords: list[Poly]) -> list[Poly] | None:
     """Set to zero every variable that is a whole coordinate and drop
     those coordinates (the first coordinate for each variable), in one
@@ -459,102 +459,6 @@ def _peel(coords: list[Poly]) -> list[Poly] | None:
     dropped = set(peeled.values())
     return [p.restrict_vars(keep) for j, p in enumerate(coords)
             if j not in dropped]
-
-
-def _mult(coords: list[Poly], ctx: _Context, top: bool) -> int:
-    """The zero order of coords, reduced in closed form first.  The peel,
-    the exponent gcd and the linear elimination each replace the system
-    and go round the loop again (scale carries the gcd factors, and top
-    is cleared, since the engine then no longer sees the input); only the
-    monomial-content split recurses."""
-    scale = 1
-    while True:
-        nvars = coords[0].nvars if coords else 0
-        if nvars == 0:
-            return scale
-        modulus = coords[0].modulus
-        origin = (0,) * nvars
-
-        for j, p in enumerate(coords):
-            if p.is_zero():
-                raise NotIsolatedWithinBound(
-                    ctx.cap, witness=f"a coordinate vanishes identically "
-                                     f"(position {j + 1} of a reduced system)",
-                    definite=True)
-            if origin in p.terms:
-                # the system has no zero at the origin at all
-                return 0
-
-        # single-variable coordinates: set those variables to zero and drop
-        peeled = _peel(coords)
-        if peeled is not None:
-            coords, top = peeled, False
-            continue
-
-        # a variable missing from every coordinate gives a product zero set
-        # (its exponent gcd is 0)
-        gcds = [math.gcd(*column)
-                for column in zip(*(m for p in coords for m in p.terms))]
-        if 0 in gcds:
-            miss = gcds.index(0)
-            raise NotIsolatedWithinBound(
-                ctx.cap, witness=f"variable x{miss + 1} appears in no "
-                                 f"coordinate, so the zero set contains its axis",
-                definite=True)
-
-        # common exponent gcd: divide out, scale by the product
-        if any(g >= 2 for g in gcds):
-            scale *= math.prod(gcds)
-            coords = [
-                Poly(nvars, modulus,
-                     {tuple(e // g for e, g in zip(m, gcds)): c
-                      for m, c in p.terms.items()})
-                for p in coords
-            ]
-            top = False
-            continue
-
-        # monomial content: split additively, one variable factor at a time
-        for j, p in enumerate(coords):
-            content = p.monomial_content()
-            if any(content):
-                total = 0
-                for i, a in enumerate(content):
-                    if a:
-                        branch = list(coords)
-                        branch[j] = Poly.variable(i, nvars, modulus)
-                        total += a * _mult(branch, ctx, False)
-                branch = list(coords)
-                branch[j] = p.divide_monomial(content)
-                total += _mult(branch, ctx, False)
-                return scale * total
-
-        # Cronin fast path: product of lowest degrees when the lowest system
-        # has 0 as its only common zero
-        degrees, isolated = _lowest_isolated(coords, nvars, ctx.cap)
-        if isolated:
-            return scale * math.prod(degrees)
-        cronin_witness = None
-        if isolated is False:
-            cronin_witness = (
-                "the lowest-degree homogeneous system has a positive-dimensional "
-                "zero set (evidence of a non-isolated zero, not a proof)"
-            )
-
-        # solve out a variable that occurs linearly in one coordinate and in
-        # no other term of that coordinate
-        eliminated = _eliminate_linear(coords, nvars, modulus)
-        if eliminated is not None:
-            coords, top = eliminated, False
-            continue
-
-        # general engine
-        ctx.engine_used = True
-        value, d_star, dims = _stabilize(coords, nvars, ctx.cap,
-                                         witness=cronin_witness)
-        if top:
-            ctx.top_certificate = (d_star, dims)
-        return scale * value
 
 
 def _eliminate_linear(coords: list[Poly], nvars: int,
@@ -595,13 +499,101 @@ def multiplicity(f: GermMap, degree_cap: int = DEFAULT_DEGREE_CAP) -> Multiplici
 
     Raises NotIsolatedWithinBound when the origin is not an isolated zero
     (definite) or cannot be certified isolated below the cap (ambiguous).
+
+    One loop reduces a stack of (factor, system) pairs, and the order is
+    the sum of factor * order over the systems taken off it.  The peel,
+    the exponent gcd and the linear elimination replace the system on
+    top; the monomial split pushes its branches in reverse, so they are
+    taken depth first and in order, and a refusal comes from the first
+    branch that fails.  A divided branch with a constant term
+    is a unit, of order 0, and is never pushed: it is the only place a
+    constant term can arise, since GermMap refuses one and the peel, the
+    gcd and the elimination cannot make one.  The result carries the
+    engine's certificate only when the engine runs on the input system
+    itself.
     """
     _check_square(f)
-    ctx = _Context(degree_cap)
-    value = _mult(list(f.coords), ctx, True)
-    if ctx.top_certificate is not None:
-        d_star, dims = ctx.top_certificate
-        return MultiplicityResult(value, fast_path=False,
-                                  stabilized_at=d_star, quotient_dims=dims)
-    return MultiplicityResult(value, fast_path=not ctx.engine_used)
+    start = list(f.coords)
+    stack = [(1, start)]
+    value, engine_used = 0, False
+    while stack:
+        factor, coords = stack.pop()
+        nvars = coords[0].nvars if coords else 0
+        if nvars == 0:
+            value += factor
+            continue
+        modulus = coords[0].modulus
 
+        for j, p in enumerate(coords):
+            if p.is_zero():
+                raise NotIsolatedWithinBound(
+                    degree_cap, witness=f"a coordinate vanishes identically "
+                                        f"(position {j + 1} of a reduced system)",
+                    definite=True)
+
+        # single-variable coordinates: set those variables to zero and drop
+        peeled = _peel(coords)
+        if peeled is not None:
+            stack.append((factor, peeled))
+            continue
+
+        # a variable missing from every coordinate gives a product zero set
+        # (its exponent gcd is 0)
+        gcds = [math.gcd(*column)
+                for column in zip(*(m for p in coords for m in p.terms))]
+        if 0 in gcds:
+            miss = gcds.index(0)
+            raise NotIsolatedWithinBound(
+                degree_cap, witness=f"variable x{miss + 1} appears in no "
+                                    f"coordinate, so the zero set contains its axis",
+                definite=True)
+
+        # common exponent gcd: divide out, scale by the product
+        if any(g >= 2 for g in gcds):
+            stack.append((factor * math.prod(gcds), [
+                Poly(nvars, modulus,
+                     {tuple(e // g for e, g in zip(m, gcds)): c
+                      for m, c in p.terms.items()})
+                for p in coords
+            ]))
+            continue
+
+        # monomial content: split additively, one variable factor at a time
+        contents = enumerate(map(Poly.monomial_content, coords))
+        split = next(((j, c) for j, c in contents if any(c)), None)
+        if split is not None:
+            j, content = split
+            branches = [(factor * a, Poly.variable(i, nvars, modulus))
+                        for i, a in enumerate(content) if a]
+            divided = coords[j].divide_monomial(content)
+            if (0,) * nvars not in divided.terms:
+                branches.append((factor, divided))
+            stack.extend((weight, coords[:j] + [p] + coords[j + 1:])
+                         for weight, p in reversed(branches))
+            continue
+
+        # Cronin fast path: product of lowest degrees when the lowest system
+        # has 0 as its only common zero
+        degrees, isolated = _lowest_isolated(coords, nvars, degree_cap)
+        if isolated:
+            value += factor * math.prod(degrees)
+            continue
+
+        # solve out a variable that occurs linearly in one coordinate and in
+        # no other term of that coordinate
+        eliminated = _eliminate_linear(coords, nvars, modulus)
+        if eliminated is not None:
+            stack.append((factor, eliminated))
+            continue
+
+        # general engine
+        engine_used = True
+        witness = None if isolated is None else (
+            "the lowest-degree homogeneous system has a positive-dimensional "
+            "zero set (evidence of a non-isolated zero, not a proof)")
+        order, d_star, dims = _stabilize(coords, nvars, degree_cap, witness)
+        if coords is start:  # the only system, so the whole answer
+            return MultiplicityResult(order, fast_path=False,
+                                      stabilized_at=d_star, quotient_dims=dims)
+        value += factor * order
+    return MultiplicityResult(value, fast_path=not engine_used)

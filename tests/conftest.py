@@ -1,5 +1,6 @@
-"""Shared helpers: fixture discovery, seeded random samplers, two test-only
-views of the multiplicity engine (the Cronin product and one truncated
+"""Shared helpers: fixture discovery, a germ whose sixth iterate is not
+isolated, seeded random samplers, two test-only views of the
+multiplicity engine (the Cronin product and one truncated
 quotient dimension, the latter through a reference echelon keyed by
 exponent tuples), a decoder of the engine's packed monomial keys, a
 reference germ-term evaluator built on Poly arithmetic, the
@@ -11,8 +12,9 @@ extended-Euclid inverse over Fractions that the integer Galois-adjugate
 inverse replaced, and the dense Jordan and linear-part matrices with the
 two-walk normal-form check and eigenvalue strip that the one-walk
 validate_rnf replaced, Poly.constant_term, and the recursive _mult,
-which peeled one single-variable coordinate per call, that the one-pass
-peel and the reduction loop replaced."""
+which peeled one single-variable coordinate per call and recursed on
+every split, that the one-pass peel and the reduction loop over a stack
+of systems replaced."""
 
 from __future__ import annotations
 
@@ -35,7 +37,7 @@ from orbitdex.cyclotomic import (CyclotomicNumber, cyclotomic_polynomial,
                                  root_of_unity)
 from orbitdex.multiplicity import (_ELIM_TERM_BUDGET, DEFAULT_DEGREE_CAP,
                                    MultiplicityResult, NotIsolatedWithinBound,
-                                   _adopt, _check_square, _Context,
+                                   _adopt, _check_square,
                                    _integral_rows, _lowest_isolated,
                                    _stabilize, _strip_content)
 from orbitdex.jordan import MAX_EXPONENT, global_order
@@ -61,6 +63,21 @@ def load_fixtures():
     for path in sorted(fixture_dir().glob("*.germ")):
         out.append((path.stem, parse_germ(path.read_text())))
     return out
+
+
+# test_orbits.py's resonant_germs can draw this germ.  On the curve
+# x1^2 = x2^3 it is (x1, x2) -> (-x1, L2*x2), of order 6, so f^6 fixes
+# every point of it
+NOT_ISOLATED_AT_6 = """
+matrix {
+  block { size = 1, order = 2, power = 1 }
+  block { size = 1, order = 3, power = 1 }
+}
+map {
+  f1 = -x1 + x1^5 - x1^3*x2^3;
+  f2 = L2*x2 + x1^2*x2 - x2^4;
+}
+"""
 
 
 def random_rational(rng, small=True) -> Fraction:
@@ -674,6 +691,15 @@ def _drop_coordinate_and_variable(coords, drop_coord: int, var: int):
     ]
 
 
+class _Context:
+    __slots__ = ("cap", "engine_used", "top_certificate")
+
+    def __init__(self, cap: int):
+        self.cap = cap
+        self.engine_used = False
+        self.top_certificate = None
+
+
 def reference_mult(coords: list[Poly], ctx: _Context, top: bool) -> int:
     nvars = coords[0].nvars if coords else 0
     if nvars == 0:
@@ -788,7 +814,8 @@ def reference_mult(coords: list[Poly], ctx: _Context, top: bool) -> int:
 
 
 def reference_multiplicity(f: GermMap, degree_cap: int = DEFAULT_DEGREE_CAP):
-    """multiplicity(f, degree_cap) with reference_mult in place of _mult."""
+    """multiplicity(f, degree_cap) with the recursive reference_mult in
+    place of the reduction loop."""
     _check_square(f)
     ctx = _Context(degree_cap)
     value = reference_mult(list(f.coords), ctx, True)

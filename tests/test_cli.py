@@ -11,7 +11,7 @@ import pytest
 from orbitdex import ConsistencyError, cli, orbits, parse_germ, resonance
 from orbitdex.cli import main
 from orbitdex.jordan import MAX_DIMENSION
-from conftest import fixture_dir
+from conftest import NOT_ISOLATED_AT_6, fixture_dir
 
 WORKED = """\
 matrix {
@@ -168,6 +168,22 @@ def test_check_reports_not_isolated(capsys, tmp_path):
     path.write_text(NOT_ISOLATED)
     code, out, _ = run(capsys, "check", str(path))
     assert code == 1 and "not isolated" in out
+
+
+@pytest.mark.parametrize("command", [["spectrum"], ["check"],
+                                     ["index", "--q", "6"]])
+def test_not_isolated_payload_says_it_is_definite(capsys, tmp_path, command):
+    """spectrum, check and index put the refusal's definite flag in their
+    JSON payload, as mult does, beside the unchanged reason."""
+    path = tmp_path / "not_isolated_at_6.germ"
+    path.write_text(NOT_ISOLATED_AT_6)
+    code, out, _ = run(capsys, "--json", "--no-timing", command[0],
+                       str(path), *command[1:])
+    assert code == 1
+    assert json.loads(out)["results"] == {
+        "ok": False, "definite": True,
+        "reason": "not isolated within degree 64: a coordinate vanishes "
+                  "identically (position 1 of a reduced system)"}
 
 
 def test_parse_error_exits_2(capsys, tmp_path):

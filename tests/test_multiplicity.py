@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -789,7 +790,7 @@ def test_row_stored_unbuilt_builds_as_the_adopted_eager_row(modulus, top):
     i = root_of_unity(4, 1, 4) if modulus == 4 else 1
     f = system(2 * x**2 + x * y * 4 * i + 3 * y**3, y**2 * 3 * i + 5 * x**3)
     pack, shift = _packer(2, 16)
-    basis = _recombined(_integral_rows(f.coords), pack, shift, 16, None)
+    basis = _recombined(_integral_rows(f.coords), pack, shift, 16)
     a = pack((1, 2))
     contents = []
     for lead, terms in basis.items():
@@ -1011,31 +1012,28 @@ def test_constant_recombination_keeps_the_certificate(seed, nvars, modulus):
 
 def test_dependent_generators_refuse_without_an_engine_run(monkeypatch):
     """Generators that are linearly dependent over K leave at most n - 1
-    generators, so the zero is not isolated: the engine raises what it
-    raised on reaching the cap, ambiguous and with the same message, but
+    generators, so the zero set is positive-dimensional (Krull): the
+    engine refuses definitely, naming the dependent coordinate, and
     builds no run.  Over Q and Q(zeta_3), through every closed-form
     reduction (none applies) and on the engine alone."""
     runs = _spied_runs(monkeypatch)
     x1, x2, x3 = variables(3)
     g1 = x1**2 - x1 * x2 + x3**3
     g2 = x2**2 - x2 * x3 + x1**3
+    witness = ("coordinate 3 of a reduced system is a constant linear "
+               "combination of the ones before it, so the zero set is "
+               "positive-dimensional")
     for modulus in (1, 3):
         z = root_of_unity(modulus, 1, modulus)
         f = system(g1, g2, g1 * 2 - g2).embed(modulus)
         f = GermMap([f.coords[0], f.coords[1] * z, f.coords[2] * z])
-        with pytest.raises(NotIsolatedWithinBound) as err:
-            multiplicity(f)
-        assert str(err.value) == (
-            "not isolated within degree 64: the lowest-degree homogeneous "
-            "system has a positive-dimensional zero set (evidence of a "
-            "non-isolated zero, not a proof)")
-        assert not err.value.definite
-        with pytest.raises(NotIsolatedWithinBound) as err:
-            _stabilize(f.coords, 3, 5)
-        assert str(err.value) == (
-            "not isolated within degree 5: no stabilization by the degree "
-            "cap; the zero may not be isolated, or the cap may be too small")
-        assert not err.value.definite
+        for cap, refuse in ((64, multiplicity),
+                            (5, lambda f, cap: _stabilize(f.coords, 3, cap))):
+            with pytest.raises(NotIsolatedWithinBound) as err:
+                refuse(f, cap)
+            assert str(err.value) == \
+                f"not isolated within degree {cap}: {witness}"
+            assert err.value.definite
     assert runs == []
 
 
@@ -1146,6 +1144,38 @@ def test_peels_keep_the_call_depth_flat():
     finally:
         sys.setrecursionlimit(limit)
     assert (result.value, result.fast_path) == (1, True)
+
+
+def split_chain(n: int) -> GermMap:
+    """f_j = x_j + x_{j+1} + x_j^2*x_{j+1}^2 + x_j^3, and f_n = x_n +
+    x_n^2*x_1^2 + x_n^3: x_n divides f_n with a unit quotient, and
+    peeling x_n leaves x_{n-1} dividing f_{n-1} with a unit quotient, so
+    the order 1 takes n monomial splits, one inside the other."""
+    xs = variables(n)
+    last = xs[-1] + xs[-1]**2 * xs[0]**2 + xs[-1]**3
+    return GermMap([x + y + x**2 * y**2 + x**3
+                    for x, y in zip(xs, xs[1:])] + [last])
+
+
+def test_nested_splits_keep_the_call_depth_and_memory_flat():
+    """The 100-variable split chain has order 1 with 60 frames to spare
+    above the caller and under 4 MB of peak allocation (one call per
+    split raised RecursionError there, and each held its own system)."""
+    f = split_chain(100)
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 60)
+    tracemalloc.start()
+    try:
+        result = multiplicity(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        sys.setrecursionlimit(limit)
+    assert (result.value, result.fast_path) == (1, True)
+    assert peak < 4 * 2**20
 
 
 def test_a_peel_that_zeroes_a_coordinate_names_its_reduced_position():

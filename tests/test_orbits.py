@@ -19,7 +19,7 @@ from orbitdex.orbits import (_division_order, _PeriodPart, prime_factors,
 from orbitdex.polynomials import variables
 from orbitdex.resonance import project
 from orbitdex.universality import chain_coprime_germ, chain_germ
-from conftest import load_fixtures
+from conftest import NOT_ISOLATED_AT_6, load_fixtures
 
 B = JordanBlock
 
@@ -455,20 +455,6 @@ def test_dold_congruences(germ):
         dold = sum(_moebius(q // d) * index[d]
                    for d in range(1, q + 1) if q % d == 0)
         assert dold % q == 0, (q, dold, index)
-
-
-# resonant_germs can draw this germ.  On the curve x1^2 = x2^3 it is
-# (x1, x2) -> (-x1, L2*x2), of order 6, so f^6 fixes every point of it
-NOT_ISOLATED_AT_6 = """
-matrix {
-  block { size = 1, order = 2, power = 1 }
-  block { size = 1, order = 3, power = 1 }
-}
-map {
-  f1 = -x1 + x1^5 - x1^3*x2^3;
-  f2 = L2*x2 + x1^2*x2 - x2^4;
-}
-"""
 
 
 def test_an_iterate_that_is_not_isolated_is_a_definite_refusal(capsys,
