@@ -6,7 +6,9 @@ certifies stabilization (equal nested quotients force m^d into the ideal
 plus m^{d+1}, and Nakayama's lemma then puts m^d inside the ideal in the
 local ring), so the repeated value is the multiplicity.  Q_d comes from
 one fraction-free elimination over both coefficient rings, Q and
-Q(zeta_M): rows have integral entries and every pivot lead is an integer.
+Q(zeta_M): rows have integral entries, pivot rows have content 1, and
+the step row <- lead * row - row[col] * pivot is exact over Z and
+Z[zeta_M] whatever the lead, so no lead is ever inverted.
 
 The engine builds a row only when it can change Q_d, and only as much of
 it as Q_d reads.  Step d inserts the rows x^a f_i of order exactly d - 1:
@@ -21,12 +23,13 @@ echelon stores the pair (a, kept) of the shift key and the kept terms of
 f_i, and builds the row only when a later row reduces against it.  This
 is exact.  The key is additive and order-preserving below its width
 (below) and the cut never drops the lead, so the row leads at lead_i + a
-with no search.  An uncut shift has the coefficients of the recombined
-generator f_i, to which adoption gave an integer lead and content 1, so
-adoption would leave it as it is; a cut f_i is divided by its content
-once, for all its shifts, and keeps its integer lead.  The pivot rows
-are those that adoption makes of the rows built in full, so the pivot
-set, every Q_d, d* and certificate are unchanged.
+with no search.  A new pivot row is stored with its content stripped.
+An uncut shift has the coefficients of the recombined generator f_i, a
+pivot row, so content 1, and a cut f_i is divided by its content once,
+for all its shifts: stripping would leave either as it is.  So the
+stored pair builds as the pivot row that inserting the row in full
+would store, and the pivot set, every Q_d, d* and certificate are
+unchanged.
 
 Before any lead is taken, the engine recombines its generators: the full
 rows f_1, ..., f_n go through one echelon, and its pivot rows, each led
@@ -175,10 +178,11 @@ class _Echelon:
     fill-in does not force a full scan per step.  A key's degree is
     key >> degree_shift.
 
-    Rows hold integral entries (see _integral_rows) and pivot leads are
-    integers (see _adopt).  Elimination is fraction-free, by
-    row <- lead(pivot) * row - row[col] * pivot, with the row's content
-    divided out on adoption and every few steps (Bareiss).  Rank and pivot
+    Rows hold integral entries (see _integral_rows), and pivot rows have
+    content 1, with no rule on the lead.  Elimination is fraction-free,
+    by row <- lead(pivot) * row - row[col] * pivot, exact over Z and
+    Z[zeta_M] for any lead, with the row's content divided out when it
+    becomes a pivot row and every few steps (Bareiss).  Rank and pivot
     columns are scale-invariant, so the counts are those over the field.
 
     A shifted row x^a g whose lead has no pivot yet is stored unbuilt, as
@@ -196,9 +200,8 @@ class _Echelon:
         """Insert the row x^a g, {k + a: c for k, c in kept.items()},
         whose lead is col: kept holds the terms of a generator g below a
         degree bound, its lead among them, with content 1.  When col has
-        no pivot the row needs no reduction, and _adopt would leave it as
-        it is (its lead is an integer and its content 1), so it is stored
-        as (a, kept)."""
+        no pivot the row needs no reduction, and stripping its content
+        would leave it as it is, so it is stored as (a, kept)."""
         if col in self.pivots:
             self.insert({k + a: c for k, c in kept.items()})
         else:
@@ -206,8 +209,9 @@ class _Echelon:
             self.pivot_degrees[col >> self.degree_shift] += 1
 
     def insert(self, row: dict) -> int | None:
-        """Reduce against current pivots; adopt as a new pivot row when a
-        nonzero remainder is left.  Returns the new pivot column or None."""
+        """Reduce against current pivots; store a nonzero remainder, its
+        content stripped, as a new pivot row.  Returns the new pivot
+        column or None."""
         pivots = self.pivots
         heap = list(row)
         heapq.heapify(heap)
@@ -218,7 +222,8 @@ class _Echelon:
                 continue  # cancelled earlier (lazy deletion)
             prow = pivots.get(col)
             if prow is None:
-                pivots[col] = _adopt(row, col)
+                _strip_content(row)
+                pivots[col] = row
                 self.pivot_degrees[col >> self.degree_shift] += 1
                 return col
             if type(prow) is tuple:
@@ -291,8 +296,8 @@ def _multipliers(nvars: int, shift: int):
 
 def _integral_rows(coords) -> list[dict]:
     """The rows of coords with denominators cleared: ints over Q, den-1
-    CyclotomicNumbers over Q(zeta_M).  This helper and the two below are
-    all the engine knows of the two rings."""
+    CyclotomicNumbers over Q(zeta_M).  This helper and _strip_content
+    are all the engine knows of the two rings."""
     rows = []
     for p in coords:
         denom = math.lcm(*(c.den for c in p.terms.values()))
@@ -316,19 +321,6 @@ def _strip_content(row: dict) -> None:
         scale = CyclotomicNumber.from_rational(Fraction(1, g), entry.modulus)
         for m, c in row.items():
             row[m] = c * scale
-
-
-def _adopt(row: dict, col) -> dict:
-    """The pivot row made of row: a lead at col that is not rational is
-    multiplied by den * lead^-1, which is integral and turns the lead into
-    the integer den; then the content is stripped."""
-    lead = row[col]
-    if not isinstance(lead, int) and not lead.is_rational():
-        inv = lead.invert()
-        scale = inv * inv.den
-        row = {m: c * scale for m, c in row.items()}
-    _strip_content(row)
-    return row
 
 
 class _Run:

@@ -2,9 +2,11 @@
 isolated, seeded random samplers, two test-only views of the
 multiplicity engine (the Cronin product and one truncated
 quotient dimension, the latter through a reference echelon keyed by
-exponent tuples), a decoder of the engine's packed monomial keys, a
-reference germ-term evaluator built on Poly arithmetic, the
-character-at-a-time .germ tokenizer that the regex tokenizer replaced,
+exponent tuples that makes every pivot lead an integer, as the engine
+did before it kept leads as they stand), a decoder of the engine's
+packed monomial keys, a reference germ-term evaluator built on Poly
+arithmetic, the character-at-a-time .germ tokenizer that the regex
+tokenizer replaced,
 the whole-text token list and the recursive-descent coordinate reader
 that the token reader and the factor regex replaced, the per-writer term
 formatters that CyclotomicNumber.terms and join_terms replaced, the
@@ -37,9 +39,9 @@ from orbitdex.cyclotomic import (CyclotomicNumber, cyclotomic_polynomial,
                                  root_of_unity)
 from orbitdex.multiplicity import (_ELIM_TERM_BUDGET, DEFAULT_DEGREE_CAP,
                                    MultiplicityResult, NotIsolatedWithinBound,
-                                   _adopt, _check_square,
-                                   _integral_rows, _lowest_isolated,
-                                   _stabilize, _strip_content)
+                                   _check_square, _integral_rows,
+                                   _lowest_isolated, _stabilize,
+                                   _strip_content)
 from orbitdex.jordan import MAX_EXPONENT, global_order
 from orbitdex.polynomials import grevlex_key
 from orbitdex.resonance import (NormalFormVerdict, ResonanceContext,
@@ -147,11 +149,27 @@ def cronin(f: GermMap, degree_cap: int = DEFAULT_DEGREE_CAP) -> int | None:
     return math.prod(degrees) if isolated else None
 
 
+def _integer_lead_adopt(row: dict, col) -> dict:
+    """The pivot row made of row with an integer lead: a lead at col that
+    is not rational is multiplied by den * lead^-1, which is integral and
+    turns the lead into the integer den; then the content is stripped.
+    The engine stores the row with its lead as it stands instead."""
+    lead = row[col]
+    if not isinstance(lead, int) and not lead.is_rational():
+        inv = lead.invert()
+        scale = inv * inv.den
+        row = {m: c * scale for m, c in row.items()}
+    _strip_content(row)
+    return row
+
+
 class ReferenceEchelon:
     """The engine's fraction-free elimination with columns keyed by
-    exponent tuples, pivot = first nonzero column in grevlex order.  It
-    shares the ring helpers with the engine but none of its key layout,
-    so a fault in the packed keys cannot cancel out against it."""
+    exponent tuples, pivot = first nonzero column in grevlex order, and
+    every pivot lead made an integer (_integer_lead_adopt).  It shares
+    the ring helpers with the engine but neither its key layout nor its
+    lead scaling, so a fault in the packed keys or in eliminating with a
+    non-rational lead cannot cancel out against it."""
 
     _STRIP_EVERY = 8
 
@@ -170,7 +188,7 @@ class ReferenceEchelon:
                 continue  # cancelled earlier (lazy deletion)
             prow = pivots.get(col)
             if prow is None:
-                pivots[col] = _adopt(row, col)
+                pivots[col] = _integer_lead_adopt(row, col)
                 self.pivot_degrees[sum(col)] += 1
                 return col
             factor = row.pop(col)

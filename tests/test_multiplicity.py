@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from orbitdex import (GermMap, NotIsolatedWithinBound, Poly, multiplicity,
                       parse_germ)
-from orbitdex.cyclotomic import root_of_unity
-from orbitdex.multiplicity import (_adopt, _Echelon, _integral_rows,
+from orbitdex.cyclotomic import CyclotomicNumber, root_of_unity
+from orbitdex.multiplicity import (_Echelon, _integral_rows,
                                    _lowest_isolated, _multipliers, _packer,
                                    _recombined, _stabilize, _strip_content)
 from orbitdex.polynomials import grevlex_key, variables
@@ -319,7 +319,7 @@ def test_engine_certificate_over_cyclotomic_fields(modulus):
 
 
 # The benchmark's (5, 4) system over Q(zeta_12), seed 7919: no closed-form
-# reduction applies, and the engine adopts pivot rows whose leads are
+# reduction applies, and the engine stores pivot rows whose leads are
 # neither rational nor units.
 NON_RATIONAL_LEADS = """\
 matrix {
@@ -475,10 +475,24 @@ def test_one_key_layout_per_engine_call(monkeypatch):
     assert len(layouts) == len(calls)
 
 
-def test_engine_pivot_rows_are_integral_with_integer_leads(monkeypatch):
-    """Every pivot row has integral entries and content 1, and its lead is
-    an integer, over Q and over Q(zeta_M) alike.  A pivot row is never
-    changed once adopted, so each is checked as it is adopted."""
+def _content(row: dict) -> int:
+    """The gcd of all integer coordinates of an integral row's entries,
+    ints or den-1 CyclotomicNumbers."""
+    coords = []
+    for c in row.values():
+        if isinstance(c, int):
+            coords.append(c)
+        else:
+            assert c.den == 1
+            coords.extend(c.num)
+    return math.gcd(*coords)
+
+
+def test_engine_pivot_rows_are_integral_with_content_1(monkeypatch):
+    """Every pivot row has integral entries and content 1, over Q and over
+    Q(zeta_M) alike, whatever its lead: NON_RATIONAL_LEADS stores pivot
+    rows whose lead is not rational.  A pivot row is never changed once
+    stored, so each is checked as it is stored."""
     engine = importlib.import_module("orbitdex.multiplicity")
     leads, layout = [], _spied_packer(monkeypatch)
 
@@ -486,15 +500,9 @@ def test_engine_pivot_rows_are_integral_with_integer_leads(monkeypatch):
         def insert(self, row):
             col = super().insert(row)
             if col is not None:
-                pivot, coords = self.pivots[col], []
-                for c in pivot.values():
-                    if isinstance(c, int):
-                        coords.append(c)
-                    else:
-                        assert c.den == 1
-                        coords.extend(c.num)
-                assert math.gcd(*coords) == 1
-                assert isinstance(pivot[col], int) or pivot[col].is_rational()
+                pivot = self.pivots[col]
+                assert _content(pivot) == 1
+                leads.append(pivot[col])
                 # the lead is the least key, and the grevlex-first
                 # monomial of the row
                 monos = _decoded(pivot, self, layout)
@@ -502,18 +510,13 @@ def test_engine_pivot_rows_are_integral_with_integer_leads(monkeypatch):
                 assert monos[0] == min(monos, key=grevlex_key)
             return col
 
-    adopt = engine._adopt
-
-    def recording_adopt(row, col):
-        leads.append(row[col])
-        return adopt(row, col)
-
     monkeypatch.setattr(engine, "_Echelon", Checked)
-    monkeypatch.setattr(engine, "_adopt", recording_adopt)
     f = _engine_systems()[0]
-    for g in (f, f.embed(4), parse_germ(NON_RATIONAL_LEADS).gmap):
+    for g in (f, f.embed(4)):
         multiplicity(g)
-    assert any(not isinstance(c, int) and not c.is_rational() for c in leads)
+    leads.clear()
+    multiplicity(parse_germ(NON_RATIONAL_LEADS).gmap)
+    assert any(not c.is_rational() for c in leads)
 
 
 # A 3-variable (4, 3, 2) system over Q(zeta_3) from the benchmark's
@@ -582,6 +585,41 @@ def test_engine_certificate_in_three_variables_over_zeta_3():
     got = multiplicity(parse_germ(THREE_VARIABLES_ZETA_3).gmap)
     assert (got.value, got.stabilized_at, got.quotient_dims) == \
         (24, 7, (1, 4, 9, 15, 20, 23, 24, 24))
+
+
+# Over Q(zeta_512), the shared coefficient 1 + 2*L1 + L1^3 of x1^2 is
+# dense in the power basis, so pivots led by it are not rational, and
+# inverting such a lead takes phi(512) - 1 = 255 dense products.
+DENSE_LEAD_512 = """\
+matrix {
+  block { size = 1, order = 512, power = 1 }
+  block { size = 1, order = 1, power = 1 }
+}
+map {
+  f1 = x1^2 + 2*L1*x1^2 + L1^3*x1^2 + x2^3;
+  f2 = x1^2 + 2*L1*x1^2 + L1^3*x1^2 + x1^3 + x2^4 + L1*x1*x2^3;
+}
+"""
+
+
+def test_engine_never_inverts(monkeypatch):
+    """The engine eliminates by cross-multiplication alone, whatever its
+    pivot leads: with CyclotomicNumber.invert made to raise, systems
+    whose pivot leads are not rational, over Q(zeta_12), Q(zeta_3) and
+    Q(zeta_512), keep their certificates.  None of them reaches the
+    linear elimination, which does invert."""
+    systems = [parse_germ(text).gmap for text in
+               (NON_RATIONAL_LEADS, THREE_VARIABLES_ZETA_3, DENSE_LEAD_512)]
+
+    def refuse(self):
+        raise AssertionError("the engine inverted a coefficient")
+
+    monkeypatch.setattr(CyclotomicNumber, "invert", refuse)
+    got = [multiplicity(f) for f in systems]
+    assert [(r.value, r.stabilized_at, r.quotient_dims) for r in got] == [
+        (20, 8, (1, 3, 6, 10, 14, 17, 19, 20, 20)),
+        (24, 7, (1, 4, 9, 15, 20, 23, 24, 24)),
+        (6, 4, (1, 3, 5, 6, 6))]
 
 
 def _unit_combination(rng, f: GermMap, modulus: int) -> GermMap:
@@ -780,12 +818,13 @@ def test_engine_builds_only_rows_that_can_change_q_d(monkeypatch):
 
 @pytest.mark.parametrize("top", [None, 3])
 @pytest.mark.parametrize("modulus", [1, 4])
-def test_row_stored_unbuilt_builds_as_the_adopted_eager_row(modulus, top):
+def test_row_stored_unbuilt_builds_as_the_stripped_eager_row(modulus, top):
     """A shift x^a g of a recombined generator g whose lead has no pivot
     is stored unbuilt; once a later row reduces against it, it is built,
-    and equals _adopt of the row built eagerly from g's terms, uncut
-    (top None) and cut below degree 3, where the kept terms of both
-    generators have content 2 and 3 over Q and Q(zeta_4) alike."""
+    and equals the row built eagerly from g's terms with its content
+    stripped, uncut (top None) and cut below degree 3, where the kept
+    terms of both generators have content 2 and 3 over Q and Q(zeta_4)
+    alike (the Q(zeta_4) generator's lead is 3i)."""
     x, y = variables(2, modulus)
     i = root_of_unity(4, 1, 4) if modulus == 4 else 1
     f = system(2 * x**2 + x * y * 4 * i + 3 * y**3, y**2 * 3 * i + 5 * x**3)
@@ -799,30 +838,26 @@ def test_row_stored_unbuilt_builds_as_the_adopted_eager_row(modulus, top):
         kept = dict(eager)
         if len(kept) < len(terms):
             _strip_content(kept)
-        # both leads are integers, as ints or den-1 CyclotomicNumbers
-        lead_of = [c if isinstance(c, int) else c.num[0]
-                   for c in (eager[lead], kept[lead])]
-        contents.append(lead_of[0] // lead_of[1])
+        contents.append(_content(eager))
         echelon = _Echelon(shift)
         echelon.offer(lead + a, a, kept)
         assert echelon.pivots[lead + a] == (a, kept)
         assert echelon.insert({k + a: c for k, c in kept.items()}) is None
-        assert echelon.pivots[lead + a] == _adopt(
-            {k + a: c for k, c in eager.items()}, lead + a)
+        stripped = {k + a: c for k, c in eager.items()}
+        _strip_content(stripped)
+        assert echelon.pivots[lead + a] == stripped
     assert contents == ([1, 1] if top is None else [2, 3])
 
 
-def test_engine_offers_rows_with_content_1_and_an_integer_lead(monkeypatch):
-    """Every row the engine offers, cut or not, is stored as it would be
-    adopted: its kept terms have content 1 and its lead an integer entry,
-    over Q and Q(zeta_M), on systems that pass the first degree bound."""
+def test_engine_offers_rows_with_content_1(monkeypatch):
+    """Every row the engine offers, cut or not, is stored as inserting it
+    would store it: its kept terms have content 1, over Q and Q(zeta_M),
+    on systems that pass the first degree bound."""
     engine = importlib.import_module("orbitdex.multiplicity")
     offered = []
 
     class Checked(engine._Echelon):
         def offer(self, col, a, kept):
-            lead = kept[col - a]
-            assert isinstance(lead, int) or lead.is_rational()
             primitive = dict(kept)
             _strip_content(primitive)
             assert primitive == kept
