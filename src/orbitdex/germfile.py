@@ -438,9 +438,11 @@ def parse_germ(text: str) -> GermDocument:
 # -- printer ------------------------------------------------------------------
 
 
-def _format_polynomial(poly: Poly, spec: JordanSpec, coord: int) -> str:
-    block = spec.block_of(coord)
-    lam = spec.blocks[block].eigenvalue(poly.modulus)
+def _format_polynomial(poly: Poly, coord: int, block: int,
+                       lam: CyclotomicNumber) -> str:
+    """Coordinate coord, of the 0-based block with eigenvalue lam, as
+    text; its own linear term is written L<block>*x<coord> when its
+    coefficient is lam."""
     own_linear = (0,) * coord + (1,) + (0,) * (poly.nvars - coord - 1)
     pieces = []
     for mono, coeff in poly.sorted_terms():
@@ -453,14 +455,19 @@ def _format_polynomial(poly: Poly, spec: JordanSpec, coord: int) -> str:
 
 def print_germ(doc: GermDocument) -> str:
     """Canonical text form; parsing it reproduces the document."""
+    spec, gmap = doc.matrix, doc.gmap
     lines = ["matrix {"]
-    for b in doc.matrix.blocks:
+    for b in spec.blocks:
         lines.append(
             f"  block {{ size = {b.size}, order = {b.order}, power = {b.power} }}"
         )
     lines.append("}")
     lines.append("map {")
-    for j, poly in enumerate(doc.gmap.coords):
-        lines.append(f"  f{j + 1} = {_format_polynomial(poly, doc.matrix, j)};")
+    for block, (b, start, stop) in enumerate(zip(spec.blocks, spec.offsets,
+                                                 spec.offsets[1:])):
+        lam = b.eigenvalue(gmap.modulus)
+        for j in range(start, stop):
+            text = _format_polynomial(gmap.coords[j], j, block, lam)
+            lines.append(f"  f{j + 1} = {text};")
     lines.append("}")
     return "\n".join(lines) + "\n"

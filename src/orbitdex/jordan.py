@@ -21,10 +21,11 @@ from .cyclotomic import CyclotomicNumber, root_of_unity
 MAX_EXPONENT = 10**6  # sanity bound on exponents accepted from inputs
 # Bound on the matrix order M = lcm(block orders): arithmetic in Q(zeta_M)
 # builds phi(M) reduction rows of phi(M) coefficients each, and a product
-# takes about phi(M)^2 integer multiplications.  The quotient engine's
-# pivots never invert their leads; the linear elimination of
-# multiplicity.py still inverts one coefficient per variable it solves
-# for, and CyclotomicNumber.invert takes phi(M) - 1 products.
+# takes about phi(M)^2 integer multiplications.  Nothing in the
+# multiplicity computation inverts a coefficient (CyclotomicNumber.invert
+# would take phi(M) - 1 products): the quotient engine eliminates by
+# cross-multiplication and the linear elimination scales by powers of
+# the coefficient it solves for.
 MAX_MODULUS = 2048
 # Bound on the dimension n = sum of block sizes: every monomial is an
 # n-tuple and a germ has about n terms, so the work of one command grows

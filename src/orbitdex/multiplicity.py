@@ -95,12 +95,17 @@ held grow with the number of reductions:
 * a coordinate divisible by a monomial splits the count additively, one
   variable factor at a time (isolation of the product is equivalent to
   isolation of every factor system, and the orders add); the branches
-  are pushed, and a quotient with a constant term is a unit, of order 0,
-  so it is dropped;
+  are pushed, each variable branch x_i already peeled, x_i set to zero
+  and the coordinate dropped (no other coordinate is a single variable
+  when a split runs, so that is the peel of the branch), and a quotient
+  with a constant term is a unit, of order 0, so it is dropped;
+* a one-variable system closes at once: the order of a nonzero p(x)
+  with no constant term is its lowest degree;
 * a common exponent gcd b_i per variable divides out, scaling the count
   by prod b_i (composition with x_i -> x_i^(b_i) multiplies orders);
 * a variable occurring linearly in one coordinate and nowhere else in it
-  can be solved for and substituted away;
+  can be solved for and substituted away, with no inverse taken (each
+  other coordinate is replaced by a unit multiple, see _eliminate_linear);
 * when the lowest-degree homogeneous system has 0 as its only zero, the
   order is the product of the lowest degrees, and that isolation question
   is itself decided exactly (a zero-dimensional system of forms of degrees
@@ -121,6 +126,7 @@ import functools
 import heapq
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -458,7 +464,13 @@ def _eliminate_linear(coords: list[Poly], nvars: int,
     """The system with the first variable that occurs linearly in a
     coordinate, and in no other term of it, solved for and substituted
     away, that coordinate dropped; None when there is no such variable
-    within the substitution size guard."""
+    within the substitution size guard.
+
+    With c x_i + rest the solved coordinate, no inverse of c is taken:
+    each term a x^m of another coordinate g is scaled by c^(E - m_i),
+    E the highest power of x_i in g, and x_i -> -rest substituted.  That
+    is c^E g(x_i = -rest/c), a unit multiple, so every order is
+    unchanged."""
     for j, p in enumerate(coords):
         for i in range(nvars):
             linear_mono = tuple(1 if k == i else 0 for k in range(nvars))
@@ -468,16 +480,25 @@ def _eliminate_linear(coords: list[Poly], nvars: int,
             rest = p - Poly(nvars, modulus, {linear_mono: c})
             if any(m[i] for m in rest.terms):
                 continue
-            solution = rest * (-(c.invert()))
             # substitution size guard: skip when it could blow up
             max_exp = max((m[i] for q in coords for m in q.terms), default=0)
-            if len(solution.terms) ** max(max_exp, 1) > _ELIM_TERM_BUDGET:
+            if len(rest.terms) ** max(max_exp, 1) > _ELIM_TERM_BUDGET:
                 continue
+            # powers[k - 1] = c^k, k = 1, ..., max_exp; none when c is 1
+            powers = [] if c == 1 else list(itertools.accumulate(
+                itertools.repeat(c, max_exp), operator.mul))
             values = [Poly.variable(k, nvars, modulus) for k in range(nvars)]
-            values[i] = solution
+            values[i] = -rest
             keep = [k for k in range(nvars) if k != i]
-            return [q.substitute(values).restrict_vars(keep)
-                    for k, q in enumerate(coords) if k != j]
+            eliminated = []
+            for q in coords[:j] + coords[j + 1:]:
+                if powers:
+                    top = max(m[i] for m in q.terms)
+                    q = q._wrap({m: a * powers[top - m[i] - 1]
+                                 if m[i] < top else a
+                                 for m, a in q.terms.items()})
+                eliminated.append(q.substitute(values).restrict_vars(keep))
+            return eliminated
     return None
 
 
@@ -493,16 +514,17 @@ def multiplicity(f: GermMap, degree_cap: int = DEFAULT_DEGREE_CAP) -> Multiplici
     (definite) or cannot be certified isolated below the cap (ambiguous).
 
     One loop reduces a stack of (factor, system) pairs, and the order is
-    the sum of factor * order over the systems taken off it.  The peel,
+    the sum of factor * order over the systems taken off it; a
+    one-variable system adds factor times its lowest degree.  The peel,
     the exponent gcd and the linear elimination replace the system on
-    top; the monomial split pushes its branches in reverse, so they are
-    taken depth first and in order, and a refusal comes from the first
-    branch that fails.  A divided branch with a constant term
-    is a unit, of order 0, and is never pushed: it is the only place a
-    constant term can arise, since GermMap refuses one and the peel, the
-    gcd and the elimination cannot make one.  The result carries the
-    engine's certificate only when the engine runs on the input system
-    itself.
+    top; the monomial split pushes its branches, the variable ones
+    peeled, in reverse, so they are taken depth first and in order, and
+    a refusal comes from the first branch that fails.  A divided branch
+    with a constant term is a unit, of order 0, and is never pushed: it
+    is the only place a constant term can arise, since GermMap refuses
+    one and the peel, the gcd and the elimination cannot make one.  The
+    result carries the engine's certificate only when the engine runs on
+    the input system itself.
     """
     _check_square(f)
     start = list(f.coords)
@@ -522,6 +544,12 @@ def multiplicity(f: GermMap, degree_cap: int = DEFAULT_DEGREE_CAP) -> Multiplici
                     degree_cap, witness=f"a coordinate vanishes identically "
                                         f"(position {j + 1} of a reduced system)",
                     definite=True)
+
+        # one variable: the order of a nonzero p(x) without a constant
+        # term is its lowest degree
+        if nvars == 1:
+            value += factor * coords[0].lowest_degree()
+            continue
 
         # single-variable coordinates: set those variables to zero and drop
         peeled = _peel(coords)
@@ -543,9 +571,8 @@ def multiplicity(f: GermMap, degree_cap: int = DEFAULT_DEGREE_CAP) -> Multiplici
         # common exponent gcd: divide out, scale by the product
         if any(g >= 2 for g in gcds):
             stack.append((factor * math.prod(gcds), [
-                Poly(nvars, modulus,
-                     {tuple(e // g for e, g in zip(m, gcds)): c
-                      for m, c in p.terms.items()})
+                p._wrap({tuple(map(operator.floordiv, m, gcds)): c
+                         for m, c in p.terms.items()})
                 for p in coords
             ]))
             continue
@@ -555,13 +582,17 @@ def multiplicity(f: GermMap, degree_cap: int = DEFAULT_DEGREE_CAP) -> Multiplici
         split = next(((j, c) for j, c in contents if any(c)), None)
         if split is not None:
             j, content = split
-            branches = [(factor * a, Poly.variable(i, nvars, modulus))
-                        for i, a in enumerate(content) if a]
+            others = coords[:j] + coords[j + 1:]
+            branches = []
+            for i, a in enumerate(content):
+                if a:  # the branch x_i, peeled: x_i set to zero, j dropped
+                    keep = [k for k in range(nvars) if k != i]
+                    branches.append((factor * a,
+                                     [p.restrict_vars(keep) for p in others]))
             divided = coords[j].divide_monomial(content)
             if (0,) * nvars not in divided.terms:
-                branches.append((factor, divided))
-            stack.extend((weight, coords[:j] + [p] + coords[j + 1:])
-                         for weight, p in reversed(branches))
+                branches.append((factor, coords[:j] + [divided] + coords[j + 1:]))
+            stack.extend(reversed(branches))
             continue
 
         # Cronin fast path: product of lowest degrees when the lowest system

@@ -15,7 +15,9 @@ receiver).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import compress
+from operator import itemgetter
 
 from .cyclotomic import CyclotomicNumber, join_terms
 
@@ -32,6 +34,25 @@ class TermBudgetExceeded(RuntimeError):
 def grevlex_key(mono: Monomial):
     """Sort key: ascending total degree, then x1-major within a degree."""
     return (sum(mono), tuple(reversed(mono)))
+
+
+def _picker(indices):
+    """A function from an exponent tuple to the tuple of its entries at
+    indices, an itemgetter when there are two or more."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    if indices:
+        index, = indices
+        return lambda mono: (mono[index],)
+    return lambda mono: ()
+
+
+@lru_cache(maxsize=256)
+def _restriction(nvars: int, keep: tuple[int, ...]):
+    """(pick, dropped): the entries of an nvars-tuple at the sorted
+    indices keep, and at the others."""
+    return _picker(keep), _picker(
+        tuple(sorted(set(range(nvars)).difference(keep))))
 
 
 def monomial_factors(mono: Monomial) -> list[str]:
@@ -261,14 +282,10 @@ class Poly:
         """Set variables outside keep to zero, then renumber the kept
         variables in increasing order of their old index.  The kept terms
         map to distinct monomials, so no coefficient merges or cancels."""
-        keep = sorted(keep)
-        drop = set(range(self.nvars)).difference(keep)
-        out = {}
-        for m, c in self.terms.items():
-            if any(m[j] for j in drop):
-                continue
-            out[tuple(m[j] for j in keep)] = c
-        return self._wrap(out, len(keep))
+        keep = tuple(sorted(keep))
+        pick, dropped = _restriction(self.nvars, keep)
+        return self._wrap({pick(m): c for m, c in self.terms.items()
+                           if not any(dropped(m))}, len(keep))
 
     def rename_vars(self, new_index, new_nvars: int) -> Poly:
         """Reindex variables: old variable j becomes new_index[j], read
@@ -433,11 +450,22 @@ class GermMap:
                        nvars=self.nvars, modulus=self.modulus)
 
     def minus_identity(self) -> GermMap:
-        return GermMap(
-            [p - Poly.variable(j, self.nvars, self.modulus)
-             for j, p in enumerate(self.coords)],
-            nvars=self.nvars, modulus=self.modulus,
-        )
+        """The map x -> f(x) - x: 1 subtracted from the x_j coefficient
+        of a copy of each coordinate j, the term dropped when it
+        cancels."""
+        one = CyclotomicNumber.one(self.modulus)
+        coords = []
+        for j, p in enumerate(self.coords):
+            terms = dict(p.terms)
+            mono = (0,) * j + (1,) + (0,) * (self.nvars - j - 1)
+            prev = terms.get(mono)
+            total = -one if prev is None else prev - one
+            if total:
+                terms[mono] = total
+            else:
+                del terms[mono]
+            coords.append(p._wrap(terms))
+        return GermMap(coords, nvars=self.nvars, modulus=self.modulus)
 
     def embed(self, modulus: int) -> GermMap:
         if modulus == self.modulus:

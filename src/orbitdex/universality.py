@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 
+from .cyclotomic import CyclotomicNumber
 from .germfile import GermDocument
 from .jordan import (MAX_EXPONENT, JordanSpec, SequenceTarget, bounded_order,
                      global_order, is_admissible, period_set)
@@ -153,18 +154,48 @@ def residue_search(moduli, powers) -> ResidueWitness:
 # -- germ families ------------------------------------------------------------
 
 
-def _base_coords(spec: JordanSpec, modulus: int) -> list[Poly]:
-    """Linear skeleton: eigenvalue diagonal plus in-block superdiagonal."""
+def _monomial(n: int, factors) -> tuple[int, ...]:
+    """The exponent tuple of the product of x_var^e over the (var, e)
+    factors; a variable named twice gets the sum of its exponents."""
+    mono = [0] * n
+    for var, e in factors:
+        mono[var] += e
+    return tuple(mono)
+
+
+def _base_coords(spec: JordanSpec, modulus: int) -> list[dict]:
+    """Linear skeleton, one term dict per coordinate: the eigenvalue on
+    the diagonal plus 1 on the in-block superdiagonal."""
     n = spec.n
+    one = CyclotomicNumber.one(modulus)
     coords = []
-    for j, b in enumerate(spec.blocks):
+    for b, start, stop in zip(spec.blocks, spec.offsets, spec.offsets[1:]):
         lam = b.eigenvalue(modulus)
-        for c in range(spec.offsets[j], spec.offsets[j + 1]):
-            p = Poly.variable(c, n, modulus) * lam
-            if c != spec.block_end(j):
-                p = p + Poly.variable(c + 1, n, modulus)
-            coords.append(p)
+        for c in range(start, stop):
+            terms = {_monomial(n, [(c, 1)]): lam}
+            if c + 1 < stop:
+                terms[_monomial(n, [(c + 1, 1)])] = one
+            coords.append(terms)
     return coords
+
+
+def _germ(spec: JordanSpec, modulus: int, extra) -> GermMap:
+    """The linear skeleton plus the terms extra[t], each a coefficient
+    and its (var, e) factors, on the end coordinate of block t; terms
+    that meet are added, and a sum that cancels is dropped, as Poly
+    addition does."""
+    coords = _base_coords(spec, modulus)
+    for t, pairs in enumerate(extra):
+        terms = coords[spec.block_end(t)]
+        for c, factors in pairs:
+            mono = _monomial(spec.n, factors)
+            total = c if mono not in terms else terms[mono] + c
+            if total:
+                terms[mono] = total
+            else:
+                del terms[mono]
+    return GermMap([Poly(spec.n, modulus)._wrap(terms) for terms in coords],
+                   nvars=spec.n, modulus=modulus)
 
 
 def chain_germ(spec: JordanSpec, r) -> GermMap:
@@ -180,19 +211,17 @@ def chain_germ(spec: JordanSpec, r) -> GermMap:
     if not chain_check(spec.blocks):
         raise ValueError("the blocks are not an eigenvalue-compatible chain")
     modulus = global_order(spec)
-    n = spec.n
-    coords = _base_coords(spec, modulus)
+    one = CyclotomicNumber.one(modulus)
     d1 = spec.blocks[0].order
-    u = Poly.variable(spec.lead_coord(0), n, modulus)
+    u = spec.lead_coord(0)
+    extra = []
     for t in range(spec.m):
-        end = spec.block_end(t)
-        lead_t = Poly.variable(spec.lead_coord(t), n, modulus)
-        extra = u ** (r[t] * d1) * lead_t
+        terms = [(one, [(u, r[t] * d1), (spec.lead_coord(t), 1)])]
         if t + 1 < spec.m:
             ratio = spec.blocks[t + 1].order // spec.blocks[t].order
-            extra = extra + Poly.variable(spec.lead_coord(t + 1), n, modulus) ** ratio
-        coords[end] = coords[end] + extra
-    return GermMap(coords, nvars=n, modulus=modulus)
+            terms.append((one, [(spec.lead_coord(t + 1), ratio)]))
+        extra.append(terms)
+    return _germ(spec, modulus, extra)
 
 
 def chain_coprime_germ(spec: JordanSpec, r, cross) -> GermMap:
@@ -201,7 +230,8 @@ def chain_coprime_germ(spec: JordanSpec, r, cross) -> GermMap:
     Blocks 0..m-2 form an eigenvalue-compatible chain and block m-1 has
     order > 1 coprime to the chain top.  Realizes count r_t at order d_t
     (with the +1 shift when d_1 = 1), and cross_t at order d_t * d_{m-1}
-    for chain blocks t (cross_0 is unused when d_1 = 1).
+    for chain blocks t (cross_0 is unused when d_1 = 1).  Every
+    parameter is >= 1.
     """
     m = spec.m
     r = list(r)
@@ -210,53 +240,43 @@ def chain_coprime_germ(spec: JordanSpec, r, cross) -> GermMap:
         raise ValueError("the coprime-tail family needs at least two blocks")
     if len(r) != m or len(cross) != m - 1:
         raise ValueError("expected m count parameters and m-1 cross parameters")
+    if any(v < 1 for v in r + cross):
+        raise ValueError("parameters must be >= 1")
     if not chain_check(spec.blocks[:-1]):
         raise ValueError("the leading blocks are not a compatible chain")
     d = list(spec.orders())
     if d[-1] < 2 or math.gcd(d[-2], d[-1]) != 1:
         raise ValueError("the tail block must have order >= 2 coprime to the chain")
     modulus = global_order(spec)
-    n = spec.n
-    coords = _base_coords(spec, modulus)
-    u = Poly.variable(spec.lead_coord(0), n, modulus)
-    v = Poly.variable(spec.lead_coord(m - 1), n, modulus)
+    one = CyclotomicNumber.one(modulus)
+    minus = CyclotomicNumber.from_rational(-1, modulus)
+    u, v = spec.lead_coord(0), spec.lead_coord(m - 1)
     d1, dm = d[0], d[m - 1]
     rm = r[m - 1]
+    lead = [spec.lead_coord(t) for t in range(m)]
 
-    def chain_term(t: int) -> Poly:
-        ratio = d[t + 1] // d[t]
-        return Poly.variable(spec.lead_coord(t + 1), n, modulus) ** ratio
-
+    # block t's end gains lead_t * bracket_t (u * bracket_0 for t = 0),
+    # plus the chain term, the next lead to the order ratio, below the
+    # last chain block; the tail's end gains v * (u^d1 - v^(rm dm)), or
+    # v * u when d1 = 1
     if d1 > 1:
-        first = u ** (r[0] * d1 + 1) - u * v ** (rm * r[0] * dm) \
-            + u * v ** (cross[0] * dm)
-        if m >= 3:
-            first = first + chain_term(0)
-        coords[spec.block_end(0)] += first
-        for t in range(1, m - 1):
-            lead_t = Poly.variable(spec.lead_coord(t), n, modulus)
-            bracket = u ** (r[t] * d1) \
-                - v ** (rm * dm) * u ** ((r[t] - 1) * d1) \
-                + v ** (cross[t] * dm)
-            extra = lead_t * bracket
-            if t + 1 < m - 1:
-                extra = extra + chain_term(t)
-            coords[spec.block_end(t)] += extra
-        coords[spec.block_end(m - 1)] += v * (u ** d1 - v ** (rm * dm))
+        extra = [[(one, [(u, r[0] * d1 + 1)]),
+                  (minus, [(u, 1), (v, rm * r[0] * dm)]),
+                  (one, [(u, 1), (v, cross[0] * dm)])]]
+        extra += [[(one, [(lead[t], 1), (u, r[t] * d1)]),
+                   (minus, [(lead[t], 1), (v, rm * dm), (u, (r[t] - 1) * d1)]),
+                   (one, [(lead[t], 1), (v, cross[t] * dm)])]
+                  for t in range(1, m - 1)]
+        extra.append([(one, [(v, 1), (u, d1)]), (minus, [(v, rm * dm + 1)])])
     else:
-        first = u ** (r[0] + 1) + v ** (rm * dm)
-        if m >= 3:
-            first = first + chain_term(0)
-        coords[spec.block_end(0)] += first
-        for t in range(1, m - 1):
-            lead_t = Poly.variable(spec.lead_coord(t), n, modulus)
-            bracket = u ** r[t] + v ** (cross[t] * dm)
-            extra = lead_t * bracket
-            if t + 1 < m - 1:
-                extra = extra + chain_term(t)
-            coords[spec.block_end(t)] += extra
-        coords[spec.block_end(m - 1)] += v * u
-    return GermMap(coords, nvars=n, modulus=modulus)
+        extra = [[(one, [(u, r[0] + 1)]), (one, [(v, rm * dm)])]]
+        extra += [[(one, [(lead[t], 1), (u, r[t])]),
+                   (one, [(lead[t], 1), (v, cross[t] * dm)])]
+                  for t in range(1, m - 1)]
+        extra.append([(one, [(v, 1), (u, 1)])])
+    for t in range(m - 2):
+        extra[t].append((one, [(lead[t + 1], d[t + 1] // d[t])]))
+    return _germ(spec, modulus, extra)
 
 
 def unit_spectrum_germ(spec: JordanSpec) -> GermMap:

@@ -1,5 +1,6 @@
 """Shared helpers: fixture discovery, a germ whose sixth iterate is not
-isolated, seeded random samplers, two test-only views of the
+isolated, seeded random samplers, a hypothesis strategy for the
+matrices and parameters of the two germ families, two test-only views of the
 multiplicity engine (the Cronin product and one truncated
 quotient dimension, the latter through a reference echelon keyed by
 exponent tuples that makes every pivot lead an integer, as the engine
@@ -32,9 +33,10 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
-from orbitdex import (GermMap, GermParseError, JordanSpec, Poly, germfile,
-                      parse_germ)
+from orbitdex import (GermMap, GermParseError, JordanBlock, JordanSpec, Poly,
+                      germfile, parse_germ)
 from orbitdex.cyclotomic import (CyclotomicNumber, cyclotomic_polynomial,
                                  root_of_unity)
 from orbitdex.multiplicity import (_ELIM_TERM_BUDGET, DEFAULT_DEGREE_CAP,
@@ -131,6 +133,37 @@ def random_isolated_system(rng, nvars, max_degree=4):
     raise AssertionError(
         f"no isolated system in {ISOLATED_DRAWS} draws of {nvars} "
         f"coordinates of degree <= {max_degree}")
+
+
+# Block orders of the two germ families: strict divisibility chains, and
+# chains followed by one block of order coprime to the chain top.
+FAMILY_CHAINS = [(1,), (2,), (1, 2), (2, 4), (1, 3), (2, 6), (1, 2, 4),
+                 (1, 3, 6), (2, 4, 8)]
+FAMILY_TAILS = [2, 3, 4, 5]
+
+
+@st.composite
+def family_parameters(draw):
+    """(spec, r, cross) of a random chain germ (cross None) or
+    chain-plus-coprime-block germ: blocks of sizes 1-3 with
+    eigenvalue-compatible powers, and parameters 1-4, so that
+    r_m * r_0 = cross_0 and r_t = 1, cross_t = r_m, where two terms of
+    the coprime family cancel, both come up."""
+    chain = draw(st.sampled_from(FAMILY_CHAINS))
+    tails = [d for d in FAMILY_TAILS if math.gcd(d, chain[-1]) == 1]
+    tail = draw(st.sampled_from([None] + tails))
+    orders = list(chain) + ([] if tail is None else [tail])
+    powers: list[int] = []
+    for j, d in enumerate(orders):
+        powers.append(draw(st.sampled_from(
+            [p for p in range(1, d + 1) if math.gcd(p, d) == 1
+             and (j == 0 or j == len(chain)
+                  or (p - powers[-1]) % orders[j - 1] == 0)])))
+    spec = JordanSpec(tuple(JordanBlock(draw(st.integers(1, 3)), d, p)
+                            for d, p in zip(orders, powers)))
+    r = [draw(st.integers(1, 4)) for _ in orders]
+    cross = None if tail is None else [draw(st.integers(1, 4)) for _ in chain]
+    return spec, r, cross
 
 
 def cronin(f: GermMap, degree_cap: int = DEFAULT_DEGREE_CAP) -> int | None:

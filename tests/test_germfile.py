@@ -555,7 +555,9 @@ def writer_cases(draw):
 @given(writer_cases())
 def test_term_writer_matches_the_per_writer_reference(case):
     spec, coord, poly = case
-    assert (_format_polynomial(poly, spec, coord)
+    block = spec.block_of(coord)
+    lam = spec.blocks[block].eigenvalue(poly.modulus)
+    assert (_format_polynomial(poly, coord, block, lam)
             == reference_format_polynomial(poly, spec, coord))
     for c in poly.terms.values():
         assert str(c) == reference_cyclotomic_str(c)

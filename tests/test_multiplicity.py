@@ -18,10 +18,14 @@ from orbitdex.cyclotomic import CyclotomicNumber, root_of_unity
 from orbitdex.multiplicity import (_Echelon, _integral_rows,
                                    _lowest_isolated, _multipliers, _packer,
                                    _recombined, _stabilize, _strip_content)
+from orbitdex.jordan import period_blocks, period_set
 from orbitdex.polynomials import grevlex_key, variables
-from conftest import (ReferenceEchelon, cronin, random_isolated_system,
-                      random_poly, reference_multiplicity,
-                      truncated_quotient_dim, unpack_key)
+from orbitdex.resonance import project, validate_rnf
+from orbitdex.universality import chain_coprime_germ, chain_germ
+from conftest import (ReferenceEchelon, cronin, family_parameters,
+                      random_isolated_system, random_poly,
+                      reference_multiplicity, truncated_quotient_dim,
+                      unpack_key)
 
 
 def system(*coords):
@@ -602,14 +606,31 @@ map {
 """
 
 
+# The coefficient 1 + 2*L1 + L1^3 of x1 in f1 is not rational over
+# Q(zeta_12), and x1 occurs in no other term of f1.  The lowest forms
+# share the zero x1 = 0, so the Cronin test fails and the linear
+# elimination solves f1 for x1.
+LINEAR_ELIMINATION_12 = """\
+matrix {
+  block { size = 1, order = 12, power = 1 }
+  block { size = 1, order = 1, power = 1 }
+}
+map {
+  f1 = x1 + 2*L1*x1 + L1^3*x1 + x2^3;
+  f2 = x1*x2 + x2^3 + x1^3;
+}
+"""
+
+
 def test_engine_never_inverts(monkeypatch):
-    """The engine eliminates by cross-multiplication alone, whatever its
-    pivot leads: with CyclotomicNumber.invert made to raise, systems
-    whose pivot leads are not rational, over Q(zeta_12), Q(zeta_3) and
-    Q(zeta_512), keep their certificates.  None of them reaches the
-    linear elimination, which does invert."""
+    """Nothing in multiplicity inverts a coefficient: with
+    CyclotomicNumber.invert made to raise, systems whose pivot leads are
+    not rational, over Q(zeta_12), Q(zeta_3) and Q(zeta_512), keep their
+    certificates, and a system whose linear elimination solves for x1
+    with a coefficient that is not rational keeps its value."""
     systems = [parse_germ(text).gmap for text in
-               (NON_RATIONAL_LEADS, THREE_VARIABLES_ZETA_3, DENSE_LEAD_512)]
+               (NON_RATIONAL_LEADS, THREE_VARIABLES_ZETA_3, DENSE_LEAD_512,
+                LINEAR_ELIMINATION_12)]
 
     def refuse(self):
         raise AssertionError("the engine inverted a coefficient")
@@ -619,7 +640,8 @@ def test_engine_never_inverts(monkeypatch):
     assert [(r.value, r.stabilized_at, r.quotient_dims) for r in got] == [
         (20, 8, (1, 3, 6, 10, 14, 17, 19, 20, 20)),
         (24, 7, (1, 4, 9, 15, 20, 23, 24, 24)),
-        (6, 4, (1, 3, 5, 6, 6))]
+        (6, 4, (1, 3, 5, 6, 6)),
+        (3, None, ())]
 
 
 def _unit_combination(rng, f: GermMap, modulus: int) -> GermMap:
@@ -1164,6 +1186,61 @@ def test_reduction_loop_matches_the_recursive_reductions(seed, nvars, modulus):
     certificate of the recursive reductions, one peel per call, that they
     replaced; a refusal has the same class and definiteness."""
     f = _reducible_system(random.Random(seed), nvars, modulus)
+    assert _outcome(multiplicity, f, 12) == \
+        _outcome(reference_multiplicity, f, 12)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(family_parameters())
+def test_reductions_match_the_recursive_reductions_on_period_parts(case):
+    """On the period parts of chain and chain-plus-coprime germs, whose
+    reductions are chains of monomial splits, the loop with projected
+    split branches and closed one-variable systems gives what the
+    recursive reductions give."""
+    spec, r, cross = case
+    germ = chain_germ(spec, r) if cross is None else \
+        chain_coprime_germ(spec, r, cross)
+    stripped = validate_rnf(spec, germ).stripped
+    for q in sorted(period_set(spec)):
+        keep = [c for j in period_blocks(spec, q)
+                for c in range(spec.offsets[j], spec.offsets[j + 1])]
+        g = project(stripped, keep)
+        assert _outcome(multiplicity, g, 64) == \
+            _outcome(reference_multiplicity, g, 64)
+
+
+def _split_system(rng, nvars: int, modulus: int) -> GermMap:
+    """Coordinates x^a * (x_j^p + higher noise), coefficients rational
+    or times a root of unity: most x^a are a power of x_j, some hold
+    another variable (often leaving the zero not isolated), and p = 0
+    makes the quotient a unit.  The splits' variable branches reach
+    one-variable systems."""
+    coords = []
+    for j in range(nvars):
+        content = [0] * nvars
+        if rng.random() < 0.7:
+            content[j] = rng.randint(1, 2)
+        if rng.random() < 0.15:
+            content[rng.randrange(nvars)] += 1
+        power = rng.randint(0 if any(content) else 1, 3)
+        g = Poly.variable(j, nvars, modulus) ** power + random_poly(
+            rng, nvars, 4, max_terms=2, modulus=modulus,
+            min_degree=max(power, 1))
+        coords.append(Poly(nvars, modulus, {
+            tuple(a + e for a, e in zip(content, m)):
+            c * root_of_unity(modulus, rng.randrange(modulus), modulus)
+            for m, c in g.terms.items()}))
+    return GermMap(coords)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), nvars=st.integers(1, 3),
+       modulus=st.sampled_from([1, 1, 3, 4]))
+def test_reductions_match_the_recursive_reductions_on_split_systems(
+        seed, nvars, modulus):
+    """Systems with monomial splits and one-variable leaves get the
+    value, certificate or refusal of the recursive reductions."""
+    f = _split_system(random.Random(seed), nvars, modulus)
     assert _outcome(multiplicity, f, 12) == \
         _outcome(reference_multiplicity, f, 12)
 

@@ -236,3 +236,33 @@ def test_content_and_renaming_read_the_support(p, data):
     got = p.rename_vars(new_index, new_nvars)
     assert got == want and got.nvars == new_nvars
     assert all(got.terms.values())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(sparse_polys(), st.data())
+def test_restrict_vars_matches_a_tuple_comprehension(p, data):
+    """restrict_vars keeps a term when every exponent outside keep is 0
+    and writes the exponents at keep, for four keep sets: none, all
+    variables, one variable kept, and one variable dropped."""
+    n = p.nvars
+    v = data.draw(st.integers(0, n - 1))
+    for keep in ([], list(range(n)), [v], [k for k in range(n) if k != v]):
+        got = p.restrict_vars(keep)
+        want = {tuple(m[k] for k in keep): c for m, c in p.terms.items()
+                if not any(m[k] for k in range(n) if k not in keep)}
+        assert got.terms == want and got.nvars == len(keep)
+
+
+def test_minus_identity_subtracts_each_variable():
+    """minus_identity is f - id coordinate by coordinate: an own-variable
+    coefficient 1 cancels and its term goes, a missing one becomes -1,
+    and any other is lowered by 1."""
+    x1, x2, x3 = variables(3, 3)
+    z = root_of_unity(3, 1, 3)
+    f = GermMap([x1 + x2**2, x1**2, x3 * z + x1 * x2])
+    got = f.minus_identity()
+    assert got == GermMap([p - Poly.variable(j, 3, 3)
+                           for j, p in enumerate(f.coords)])
+    assert got.coords[0].terms == {(0, 2, 0): root_of_unity(1, 1, 3)}
+    assert (0, 1, 0) in got.coords[1].terms
+    assert got.coords[2].terms[(0, 0, 1)] == z - 1

@@ -3,12 +3,15 @@ import math
 import time
 
 import pytest
+from hypothesis import given, settings
 
 from orbitdex import (ConsistencyError, GermMap, JordanBlock, JordanSpec, Poly,
                       SequenceTarget, is_universal, orbit_spectrum, realize,
                       residue_search, universality, validate_rnf)
+from orbitdex.jordan import global_order
 from orbitdex.universality import (chain_check, chain_coprime_germ, chain_germ,
                                    normalized_target, unit_spectrum_germ)
+from conftest import family_parameters
 
 B = JordanBlock
 
@@ -215,6 +218,102 @@ def test_chain_coprime_germ_parameter_sweep():
         sp = orbit_spectrum(spec, g, cross_check=False)
         assert sp.counts == {1: 1, 2: r1, 6: r2, 5: r3, 10: c1, 30: c2}, \
             (r1, r2, r3, c1, c2)
+
+
+# -- the family formulas in Poly arithmetic ---------------------------------
+
+
+def _poly_base_coords(spec: JordanSpec, modulus: int) -> list[Poly]:
+    n = spec.n
+    coords = []
+    for j, b in enumerate(spec.blocks):
+        lam = b.eigenvalue(modulus)
+        for c in range(spec.offsets[j], spec.offsets[j + 1]):
+            p = Poly.variable(c, n, modulus) * lam
+            if c != spec.block_end(j):
+                p = p + Poly.variable(c + 1, n, modulus)
+            coords.append(p)
+    return coords
+
+
+def poly_chain_germ(spec: JordanSpec, r) -> GermMap:
+    """chain_germ's formula: block t's end gains u^(r_t d_1) * lead_t,
+    plus lead_(t+1)^(d_(t+1)/d_t) below the top."""
+    modulus, n = global_order(spec), spec.n
+    coords = _poly_base_coords(spec, modulus)
+    u = Poly.variable(spec.lead_coord(0), n, modulus)
+    for t in range(spec.m):
+        lead_t = Poly.variable(spec.lead_coord(t), n, modulus)
+        extra = u ** (r[t] * spec.blocks[0].order) * lead_t
+        if t + 1 < spec.m:
+            ratio = spec.blocks[t + 1].order // spec.blocks[t].order
+            extra = extra + Poly.variable(spec.lead_coord(t + 1), n,
+                                          modulus) ** ratio
+        coords[spec.block_end(t)] = coords[spec.block_end(t)] + extra
+    return GermMap(coords, nvars=n, modulus=modulus)
+
+
+def poly_chain_coprime_germ(spec: JordanSpec, r, cross) -> GermMap:
+    """chain_coprime_germ's formula, u and v the leads of the first and
+    the tail block."""
+    m, d = spec.m, spec.orders()
+    modulus, n = global_order(spec), spec.n
+    coords = _poly_base_coords(spec, modulus)
+    u = Poly.variable(spec.lead_coord(0), n, modulus)
+    v = Poly.variable(spec.lead_coord(m - 1), n, modulus)
+    d1, dm, rm = d[0], d[m - 1], r[m - 1]
+
+    def chain_term(t):
+        return Poly.variable(spec.lead_coord(t + 1), n,
+                             modulus) ** (d[t + 1] // d[t])
+
+    for t in range(m - 1):
+        lead_t = Poly.variable(spec.lead_coord(t), n, modulus)
+        if d1 > 1 and t == 0:
+            extra = u ** (r[0] * d1 + 1) - u * v ** (rm * r[0] * dm) \
+                + u * v ** (cross[0] * dm)
+        elif d1 > 1:
+            extra = lead_t * (u ** (r[t] * d1)
+                              - v ** (rm * dm) * u ** ((r[t] - 1) * d1)
+                              + v ** (cross[t] * dm))
+        elif t == 0:
+            extra = u ** (r[0] + 1) + v ** (rm * dm)
+        else:
+            extra = lead_t * (u ** r[t] + v ** (cross[t] * dm))
+        if t + 1 < m - 1:
+            extra = extra + chain_term(t)
+        coords[spec.block_end(t)] += extra
+    coords[spec.block_end(m - 1)] += v * (u ** d1 - v ** (rm * dm)) \
+        if d1 > 1 else v * u
+    return GermMap(coords, nvars=n, modulus=modulus)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(family_parameters())
+def test_family_builders_match_their_poly_formulas(case):
+    """The term-by-term builders give the germs that Poly arithmetic on
+    the family formulas gives, terms merged and cancelled alike."""
+    spec, r, cross = case
+    if cross is None:
+        assert chain_germ(spec, r) == poly_chain_germ(spec, r)
+    else:
+        assert chain_coprime_germ(spec, r, cross) == \
+            poly_chain_coprime_germ(spec, r, cross)
+
+
+def test_coprime_family_cancels_terms():
+    """With r_m * r_0 = cross_0 the terms -u*v^(r_m r_0 d_m) and
+    u*v^(cross_0 d_m) of the first end coordinate cancel, and with
+    r_1 = 1, cross_1 = r_m the middle block loses two terms the same way;
+    the builder drops them as the Poly sums do."""
+    spec = spec_of(2, 4, 3)
+    r, cross = [1, 1, 2], [2, 2]
+    g = chain_coprime_germ(spec, r, cross)
+    assert g == poly_chain_coprime_germ(spec, r, cross)
+    assert set(g.coords[0].terms) == {(1, 0, 0), (3, 0, 0), (0, 2, 0)}
+    assert set(g.coords[1].terms) == {(0, 1, 0), (2, 1, 0)}
+    with pytest.raises(ValueError, match="parameters must be >= 1"):
+        chain_coprime_germ(spec, [0, 1, 2], cross)
 
 
 def test_realize_examples():
